@@ -13,11 +13,13 @@ backend's throughput *is* asserted (>= 10x events/sec over scalar at
 n = 5): its win is per-core numpy batching, not parallelism, so it does
 not depend on the machine's core count.
 
-Every run also appends lightweight :class:`repro.bench.BenchRecord`
-entries (scenario ids shared with ``repro bench run --suite perf``) to
-the JSONL history under ``benchmarks/manifests/`` -- the time axis the
-``repro bench compare`` regression gate and the committed
+Every run also builds lightweight :class:`repro.bench.BenchRecord`
+entries (scenario ids shared with ``repro bench run --suite perf``) and
+appends them to the JSONL history that ``REPRO_BENCH_HISTORY`` names --
+the time axis the ``repro bench compare`` regression gate and the
 ``BENCH_perf.json`` trajectory are built from (docs/BENCHMARKING.md).
+With the variable unset nothing is appended, so a plain run never
+rewrites the committed ``benchmarks/manifests/bench_history.jsonl``.
 
 Unlike the figure benchmarks this module does not use the
 pytest-benchmark fixture, so the telemetry-smoke CI job can run it with
@@ -36,7 +38,6 @@ from repro.markov import (
     availability,
     availability_grid,
     availability_symbolic,
-    chain_for,
     clear_symbolic_cache,
     derive_chain,
     derive_lumped_chain,
@@ -170,7 +171,7 @@ def test_perf_scaling_smoke(bench_manifest):
     clear_symbolic_cache()
     batched_total_s = 0.0
     for protocol in CHAIN_PROTOCOLS:
-        chain = chain_for(protocol, 5)
+        chain = _chain(protocol, 5)
         per_point, per_point_s = _timed(
             lambda: [chain.availability(ratio) for ratio in GRID]
         )

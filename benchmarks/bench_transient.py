@@ -16,10 +16,10 @@ comparison to finite horizons using the same chains:
 from repro.analysis import render_series, render_table
 from repro.markov import (
     availability,
-    chain_for,
     mean_time_to_blocking,
     transient_availability,
 )
+from repro.markov.availability import _chain
 
 PROTOCOLS = ("voting", "dynamic", "dynamic-linear", "hybrid")
 TIMES = (0.0, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
@@ -29,7 +29,7 @@ N = 5
 
 def ramps():
     return {
-        name: transient_availability(chain_for(name, N), RATIO, TIMES)
+        name: transient_availability(_chain(name, N), RATIO, TIMES)
         for name in PROTOCOLS
     }
 
@@ -51,7 +51,7 @@ def test_transient_ramp(benchmark):
 
 def endurance():
     return {
-        name: mean_time_to_blocking(chain_for(name, N), RATIO)
+        name: mean_time_to_blocking(_chain(name, N), RATIO)
         for name in PROTOCOLS
     }
 

@@ -17,20 +17,17 @@ import pytest
 from repro.bench import BenchRecord, append_records
 from repro.obs import MetricsRegistry, RunManifest, Stopwatch
 
-#: Default JSONL history the lightweight record mode appends to, relative
-#: to the repo root (= this file's parent's parent).
-_DEFAULT_HISTORY = Path(__file__).resolve().parent / "manifests" / "bench_history.jsonl"
-
-
 class BenchManifest:
     """Telemetry capture for one benchmark: metrics, manifest, record.
 
-    Capture is **default-on**: every benchmark gets a live
-    :attr:`registry`, and :meth:`record` appends a lightweight
-    :class:`~repro.bench.BenchRecord` -- revision (``git describe``),
-    workload params including backend/workers, metric snapshot, timings
-    -- to the append-only JSONL history (``REPRO_BENCH_HISTORY``
-    overrides the path; set it to ``-`` to disable appending).
+    Every benchmark gets a live :attr:`registry`, and :meth:`record`
+    builds a lightweight :class:`~repro.bench.BenchRecord` -- revision
+    (``git describe``), workload params including backend/workers, metric
+    snapshot, timings.  Appending it to a JSONL history is **opt-in**:
+    only when ``REPRO_BENCH_HISTORY`` names a path, so a plain
+    ``pytest benchmarks`` never touches the committed
+    ``benchmarks/manifests/bench_history.jsonl`` (that file changes
+    through ``repro bench run`` only).
 
     Full run-manifest files remain opted into with
     ``REPRO_BENCH_MANIFEST_DIR=/some/dir``: :meth:`write` persists a
@@ -43,7 +40,7 @@ class BenchManifest:
     def __init__(self, directory: str | None, history: str | None = None) -> None:
         self._directory = directory
         if history is None:
-            history = os.environ.get("REPRO_BENCH_HISTORY", str(_DEFAULT_HISTORY))
+            history = os.environ.get("REPRO_BENCH_HISTORY", "")
         self._history = None if history in ("-", "") else Path(history)
         self.registry = MetricsRegistry()
         self.stopwatch = Stopwatch()
@@ -57,13 +54,13 @@ class BenchManifest:
         suite: str = "perf",
         seed: int | None = None,
     ) -> BenchRecord:
-        """Append one scenario's bench record to the JSONL history.
+        """Build one scenario's bench record; append it if history is on.
 
         Every record carries ``git describe`` and its ``created_at``
         stamp via :meth:`BenchRecord.collect`; callers put the backend /
         workers configuration in ``params`` so records stay comparable
         across machine shapes.  Returns the record either way; appending
-        is skipped when the history is disabled.
+        happens only when ``REPRO_BENCH_HISTORY`` names a path.
         """
         record = BenchRecord.collect(
             suite,
@@ -104,5 +101,7 @@ class BenchManifest:
 
 @pytest.fixture
 def bench_manifest() -> BenchManifest:
-    """Per-test telemetry capture (manifests gated by REPRO_BENCH_MANIFEST_DIR)."""
+    """Per-test telemetry capture: manifests gated by
+    ``REPRO_BENCH_MANIFEST_DIR``, history appends by ``REPRO_BENCH_HISTORY``
+    (both off when unset)."""
     return BenchManifest(os.environ.get("REPRO_BENCH_MANIFEST_DIR"))

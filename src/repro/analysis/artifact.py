@@ -16,7 +16,8 @@ import json
 from pathlib import Path
 from typing import Any
 
-from ..markov import availability, mean_time_to_blocking, chain_for
+from ..markov import availability, mean_time_to_blocking
+from ..markov.availability import _chain
 from ..sim import figure1_scenario, paper_protocols
 from .crossover import PAPER_CROSSOVERS, certified_crossover
 from .figures import figure3_series, figure4_series
@@ -54,7 +55,7 @@ def collect_results(
 
     # E2: chain sizes.
     results["figure2_state_counts"] = {
-        str(n): chain_for("hybrid", n).size for n in n_values
+        str(n): _chain("hybrid", n).size for n in n_values
     }
 
     # E5: crossovers with exact brackets.
@@ -96,7 +97,7 @@ def collect_results(
 
     # E14: endurance.
     results["mean_time_to_blocking"] = {
-        name: mean_time_to_blocking(chain_for(name, 5), 1.0)
+        name: mean_time_to_blocking(_chain(name, 5), 1.0)
         for name in ("voting", "dynamic", "dynamic-linear", "hybrid")
     }
     return results

@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from scipy.optimize import brentq
 
 from ..errors import AnalysisError
-from ..markov import CHAIN_BUILDERS, chain_for
+from ..markov.availability import _chain
 from ..quorums import majority_availability, uniform_up_probability
 
 __all__ = [
@@ -41,11 +41,7 @@ def traditional_availability(protocol_name: str, n: int, ratio) -> float:
         return majority_availability(
             n, uniform_up_probability(float(ratio)), measure="traditional"
         )
-    if protocol_name not in CHAIN_BUILDERS:
-        raise AnalysisError(
-            f"no chain for {protocol_name!r}; traditional measure undefined"
-        )
-    chain = chain_for(protocol_name, n)
+    chain = _chain(protocol_name, n)
     pi = chain.steady_state(float(ratio))
     return float(sum(p for state, p in pi.items() if chain.weight(state) > 0))
 
@@ -68,11 +64,7 @@ def traditional_availability_grid(
             )
             for point in points
         )
-    if protocol_name not in CHAIN_BUILDERS:
-        raise AnalysisError(
-            f"no chain for {protocol_name!r}; traditional measure undefined"
-        )
-    chain = chain_for(protocol_name, n)
+    chain = _chain(protocol_name, n)
     distributions = chain.steady_state_grid(points)
     available = [
         index

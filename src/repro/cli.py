@@ -82,6 +82,7 @@ from .markov import (
     state_tuple,
     transient_availability,
 )
+from .markov.availability import _chain
 from .core import make_protocol
 from .netsim import ReplicaCluster, reset_run_ids
 from .obs.trace import TraceLog
@@ -696,8 +697,6 @@ def _perf_suite_records(seed: int, quick: bool) -> list[BenchRecord]:
         )
     )
     clear_symbolic_cache()
-    from .markov.availability import _chain
-
     large_points = 10 if quick else 60
     large_grid = [
         0.1 + 19.9 * i / (large_points - 1) for i in range(large_points)
@@ -1079,7 +1078,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "check":
         return check_runner.run_from_args(args)
     if args.command == "transient":
-        chain = chain_for(args.protocol, args.sites)
+        try:
+            chain = _chain(args.protocol, args.sites)
+        except ReproError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
         values = transient_availability(chain, args.ratio, args.times)
         print(
             render_series(

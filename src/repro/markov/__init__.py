@@ -2,10 +2,14 @@
 
 * :class:`ChainSpec` / :class:`Arc` -- CTMCs with (lambda, mu)-linear rates
   and numeric / exact / symbolic steady states.
-* :mod:`repro.markov.chains` -- the hand-built chain per protocol,
-  including the paper's Fig. 2 hybrid chain.
-* :func:`derive_chain` -- exact chains derived automatically from the
-  protocol implementations (the validation harness).
+* :func:`derive_lumped_chain` -- chains derived automatically from the
+  protocol implementations, one representative per lumped block: the
+  only chain source at runtime.  :func:`derive_chain` is the same
+  derivation with every configuration its own block (the exact
+  site-labelled chain).
+* :mod:`repro.markov.chains` -- the hand-built chain per protocol: the
+  test oracle, and the paper's Fig. 2 hybrid chain drawn by
+  ``repro chain``.
 * :func:`availability` and friends -- the unified availability API.
 """
 
@@ -49,6 +53,7 @@ from .lumping import (
     hybrid_signature,
     lump_chain,
     modified_hybrid_signature,
+    primary_site_signature,
     signature_for,
     voting_signature,
 )
@@ -94,6 +99,7 @@ __all__ = [
     "dynamic_linear_signature",
     "modified_hybrid_signature",
     "voting_signature",
+    "primary_site_signature",
     "class_signature",
     "signature_for",
     "LUMP_SIGNATURES",

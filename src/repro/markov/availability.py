@@ -1,12 +1,12 @@
 """Unified availability API over all protocols (Section VI-C measures).
 
 Dispatches each protocol name to its analytic machinery -- a closed
-binomial form for the static protocols, the hand-built Markov chain for the
-dynamic family -- and exposes the three precision levels (float, exact
-rational, symbolic rational function) plus the normalised measure used in
-Figs. 3 and 4: availability divided by ``p = r/(1+r)``, the probability an
-arbitrary site is up, which upper-bounds every algorithm under the site
-measure.
+binomial form for the static protocols, the lumped Markov chain derived
+from the protocol implementation for the dynamic family -- and exposes
+the three precision levels (float, exact rational, symbolic rational
+function) plus the normalised measure used in Figs. 3 and 4: availability
+divided by ``p = r/(1+r)``, the probability an arbitrary site is up,
+which upper-bounds every algorithm under the site measure.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from ..ratfunc import Polynomial, RationalFunction
 from ..types import site_names
 from .builder import derive_lumped_chain
 from .chains import (
-    chain_for,
     primary_copy_availability,
     primary_copy_availability_float,
     primary_site_voting_availability,
@@ -75,31 +74,32 @@ _CLOSED_FORMS_FLOAT = {
 
 @functools.lru_cache(maxsize=256)
 def _chain(protocol_name: str, n: int) -> ChainSpec:
-    """The protocol's chain -- lump-then-solve is the default pipeline.
+    """The protocol's lumped chain, derived from its implementation.
 
-    When a strongly lumpable signature is registered
-    (:data:`repro.markov.lumping.LUMP_SIGNATURES`), the chain is derived
-    directly from the protocol implementation with one representative
-    per block: O(n) states at any n, which is what carries the
-    availability curves to n=25-50.  Protocols without a signature fall
-    through to the hand-built :func:`chain_for` transparently, as does
-    any instance the derivation rejects (e.g. an n below the protocol's
-    minimum) -- the pipeline is a strict superset of the old path, and
-    the lumped-vs-hand-built equality is pinned by the tests.
+    The only chain source at runtime: the registered strongly lumpable
+    signature (:data:`repro.markov.lumping.LUMP_SIGNATURES`) drives
+    :func:`~repro.markov.builder.derive_lumped_chain`, one representative
+    configuration per block -- O(n) states at any n, which is what
+    carries the availability curves to n=25-50.  A protocol without a
+    signature raises :class:`AnalysisError`, and so does an ``n`` the
+    derivation rejects (naming the protocol and ``n``, with the
+    derivation's error as the cause).
     """
     signature = signature_for(protocol_name)
     if signature is None:
-        return chain_for(protocol_name, n)
+        raise AnalysisError(
+            f"no Markov chain for {protocol_name!r}: no lumping signature"
+        )
     try:
         protocol = make_protocol(protocol_name, site_names(n))
         return derive_lumped_chain(
             protocol, signature, name=f"lumped:{protocol_name}[n={n}]"
         )
-    except ReproError:
-        registry = global_registry()
-        if registry.enabled:
-            registry.counter("markov.build.fallback").inc()
-        return chain_for(protocol_name, n)
+    except ReproError as exc:
+        raise AnalysisError(
+            f"no Markov chain for {protocol_name!r} at n={n}: deriving it "
+            "from the protocol implementation failed (see the cause)"
+        ) from exc
 
 
 def _check(protocol_name: str) -> None:

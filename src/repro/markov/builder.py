@@ -1,10 +1,10 @@
 """Automatic derivation of a protocol's Markov chain from its code.
 
-The hand-built chains in :mod:`repro.markov.chains` encode the authors'
-reasoning about how each protocol behaves under the stochastic model.  This
-module removes the trust step: it *executes* the actual protocol
-implementation against every reachable configuration of the Section VI
-model and assembles the resulting exact Markov chain.
+Every chain the package solves at runtime comes from here.  The module
+*executes* the actual protocol implementation against every reachable
+configuration of the Section VI model and assembles the resulting exact
+Markov chain; the hand-built chains in :mod:`repro.markov.chains` stay as
+the test oracle and the paper's Fig. 2 drawing.
 
 A configuration is ``(up, current, metadata)`` -- which sites are up,
 which sites hold the current version, and the metadata those copies share
@@ -18,16 +18,20 @@ whose freshest copy is stale is never distinguished -- the paper's Theorem
 
 Every site fails at rate lambda and is repaired at rate mu, so each
 failure/repair of a specific site is an arc with multiplicity one; arcs
-between the same configuration pair merge by summation.  The derived chain
-is *site-labelled* (no symmetry lumping), hence exact; for the paper's
-protocols it collapses to the hand-built chains' availability, which is
-what the validation tests assert.
+between the same pair of states merge by summation.  One breadth-first
+exploration serves every consumer: :func:`derive_lumped_chain` keeps one
+representative configuration per block of a lumping signature (the
+default availability pipeline), and :func:`derive_chain` is the same
+derivation with every configuration its own block -- the exact
+site-labelled chain that the heterogeneous-rate analysis and the Theorem
+1 check walk.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from collections.abc import Callable, Hashable
+from fractions import Fraction
+from typing import cast
 
 from ..core.base import ReplicaControlProtocol
 from ..core.decision import UpdateContext
@@ -113,64 +117,17 @@ def _observe_build(kind: str, *, states: int, arcs: int, expansions: int) -> Non
 def derive_chain(
     protocol: ReplicaControlProtocol, max_states: int = 50_000
 ) -> ChainSpec:
-    """Breadth-first exploration of the model's reachable configurations.
+    """The exact site-labelled chain: every configuration its own block.
 
-    Returns an exact (site-labelled) :class:`ChainSpec` whose availability
-    must agree with the protocol's hand-built lumped chain.  Arcs stream
-    into an indexed ``(source, target) -> (failures, repairs)`` table as
-    the frontier advances -- memory is O(states + distinct arcs), never a
-    per-transition list (each expansion emits n transitions, so the old
-    arc list dominated everything at large n).
+    The same exploration as :func:`derive_lumped_chain` under the
+    identity signature, so the two constructions can only differ by the
+    lumping map.  Its availability must agree with the protocol's lumped
+    chain; :func:`repro.markov.lumping.lump_chain` checks the
+    aggregation exactly and the tests pin both.
     """
-    initial = _initial_configuration(protocol)
-    sites = sorted(protocol.sites)
-    index: dict[Configuration, int] = {initial: 0}
-    order: list[Configuration] = [initial]
-    frontier: list[Configuration] = [initial]
-    arcs: dict[tuple[int, int], list[int]] = {}
-    expansions = 0
-    while frontier:
-        config = frontier.pop()
-        source = index[config]
-        up = config[0]
-        expansions += 1
-        for site in sites:
-            if site in up:
-                successor = _successor(protocol, config, up - {site}, site)
-                slot = 0
-            else:
-                successor = _successor(protocol, config, up | {site}, None)
-                slot = 1
-            target = index.get(successor)
-            if target is None:
-                if len(index) >= max_states:
-                    raise ChainError(
-                        f"derived chain for {protocol.name} exceeds "
-                        f"{max_states} states; raise max_states if intended"
-                    )
-                target = len(order)
-                index[successor] = target
-                order.append(successor)
-                frontier.append(successor)
-            entry = arcs.setdefault((source, target), [0, 0])
-            entry[slot] += 1
-    n = protocol.n_sites
-    weights = {
-        config: Fraction(len(config[0]), n)
-        for config in order
-        if config[0] and config[0] == config[1]
-    }
-    _observe_build(
-        "site_labelled",
-        states=len(order),
-        arcs=len(arcs),
-        expansions=expansions,
-    )
     return ChainSpec.from_indexed_arcs(
-        f"derived:{protocol.name}[n={n}]",
-        order,
-        {key: (f, r) for key, (f, r) in arcs.items()},
-        weights,
+        f"derived:{protocol.name}[n={protocol.n_sites}]",
+        *_derive(protocol, None, max_states),
     )
 
 
@@ -195,10 +152,38 @@ def derive_lumped_chain(
     calls instead of the site-labelled 2^n explosion, which is what makes
     n=25-50 availability tractable (docs/PERFORMANCE.md).
     """
+    if name is None:
+        name = f"lumped:{protocol.name}[n={protocol.n_sites}]"
+    return ChainSpec.from_indexed_arcs(
+        name, *_derive(protocol, signature, max_blocks)
+    )
+
+
+def _derive(
+    protocol: ReplicaControlProtocol,
+    signature: Callable[[Configuration], Hashable] | None,
+    limit: int,
+) -> tuple[
+    list[Hashable],
+    dict[tuple[int, int], tuple[int, int]],
+    dict[Hashable, Fraction],
+]:
+    """The one breadth-first exploration of the model's configurations.
+
+    Returns ``(states, arcs, weights)`` in the form of
+    :meth:`ChainSpec.from_indexed_arcs`.  ``signature=None`` keeps every
+    configuration as its own state (the site-labelled chain); otherwise
+    states are signature labels, each expanded from the first
+    configuration that reached it.  Arcs stream into an indexed
+    ``(source, target) -> (failures, repairs)`` table as the frontier
+    advances -- memory is O(states + distinct arcs), never a
+    per-transition list.
+    """
+    kind, unit = ("derived", "states") if signature is None else ("lumped", "blocks")
     initial = _initial_configuration(protocol)
     sites = sorted(protocol.sites)
     n = protocol.n_sites
-    first = signature(initial)
+    first: Hashable = initial if signature is None else signature(initial)
     index: dict[Hashable, int] = {first: 0}
     order: list[Hashable] = [first]
     representatives: list[Configuration] = [initial]
@@ -221,15 +206,17 @@ def derive_lumped_chain(
             else:
                 successor = _successor(protocol, config, up | {site}, None)
                 slot = 1
-            target_label = signature(successor)
+            target_label: Hashable = (
+                successor if signature is None else signature(successor)
+            )
             if target_label == label:
                 continue  # internal moves vanish in the lumped chain
             target = index.get(target_label)
             if target is None:
-                if len(index) >= max_blocks:
+                if len(index) >= limit:
                     raise ChainError(
-                        f"lumped chain for {protocol.name} exceeds "
-                        f"{max_blocks} blocks; raise max_blocks if intended"
+                        f"{kind} chain for {protocol.name} exceeds {limit} "
+                        f"{unit}; raise max_{unit} if intended"
                     )
                 target = len(order)
                 index[target_label] = target
@@ -240,14 +227,12 @@ def derive_lumped_chain(
         for target, (fails, repairs) in outgoing.items():
             arcs[(source, target)] = (fails, repairs)
     _observe_build(
-        "lumped", states=len(order), arcs=len(arcs), expansions=len(order)
+        "site_labelled" if signature is None else "lumped",
+        states=len(order),
+        arcs=len(arcs),
+        expansions=len(order),
     )
-    return ChainSpec.from_indexed_arcs(
-        name if name is not None else f"lumped:{protocol.name}[n={n}]",
-        order,
-        arcs,
-        weights,
-    )
+    return order, arcs, weights
 
 
 def verify_stale_partitions_blocked(
@@ -266,32 +251,20 @@ def verify_stale_partitions_blocked(
     version-M copies) and ``T`` a subset of the even-staler sites.  We
     enumerate all of them and assert denial.
 
+    Every accepted transition is an arc of the site-labelled chain
+    (:func:`derive_chain`), so the check walks that chain's arcs.
+
     Raises ``AssertionError`` on a violation.
     """
-    import itertools
-
-    initial = _initial_configuration(protocol)
-    seen: set[Configuration] = {initial}
-    frontier: list[Configuration] = [initial]
-    sites = sorted(protocol.sites)
-    while frontier:
-        config = frontier.pop()
-        up = config[0]
-        for site in sites:
-            if site in up:
-                new_up = up - {site}
-                successor = _successor(protocol, config, new_up, site)
-            else:
-                new_up = up | {site}
-                successor = _successor(protocol, config, new_up, None)
-            accepted = successor[1] == new_up and bool(new_up)
-            if accepted:
-                _check_leftovers(protocol, config, successor)
-            if successor not in seen:
-                seen.add(successor)
-                if len(seen) > max_states:
-                    raise AssertionError("state space larger than max_states")
-                frontier.append(successor)
+    try:
+        states, arcs, _ = _derive(protocol, None, max_states)
+    except ChainError as exc:
+        raise AssertionError(str(exc)) from exc
+    for i, j in sorted(arcs):
+        before = cast(Configuration, states[i])
+        after = cast(Configuration, states[j])
+        if after[0] and after[1] == after[0]:  # the update was accepted
+            _check_leftovers(protocol, before, after)
 
 
 def _check_leftovers(

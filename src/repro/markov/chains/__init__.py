@@ -1,5 +1,9 @@
 """Hand-built Markov chains for each protocol (Section VI).
 
+These transcribe the paper's reasoning.  They are the test oracle for the
+chains :mod:`repro.markov.builder` derives from the protocol code (the
+only chains the runtime solves) and the Fig. 2 drawing of ``repro chain``.
+
 :func:`chain_for` maps registry protocol names to chain builders.  The
 modified hybrid shares the hybrid's chain (the Section VII equivalence,
 verified mechanically by the automatic chain builder in

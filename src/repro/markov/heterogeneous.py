@@ -6,7 +6,9 @@ repair/failure ratios".  This module supplies the analysis half of that
 challenge for site asymmetry: every protocol's exact Markov chain under
 **per-site** failure and repair rates, derived directly from the protocol
 implementation (the homogeneous lumping of Fig. 2 is no longer sound, so
-the site-labelled exact chain is the right object).
+the site-labelled exploration behind
+:func:`repro.markov.builder.derive_chain` is the right object, with each
+arc's rate read off the one site it toggles).
 
 The availability measure generalises unchanged: an update arriving at a
 uniformly random site succeeds iff that site is up inside a distinguished
@@ -17,6 +19,7 @@ count.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from typing import cast
 
 import numpy as np
 
@@ -24,7 +27,7 @@ from ..core.base import ReplicaControlProtocol
 from ..errors import ChainError
 from ..obs.metrics import global_registry
 from ..types import SiteId
-from .builder import Configuration, _initial_configuration, _successor
+from .builder import Configuration, _derive
 from .ctmc import SPARSE_THRESHOLD
 
 __all__ = ["heterogeneous_availability", "heterogeneous_steady_state"]
@@ -46,40 +49,23 @@ def _validate_rates(
                 )
 
 
-def _explore(
-    protocol: ReplicaControlProtocol, max_states: int
-) -> tuple[list[Configuration], dict[tuple[int, int], list[tuple[SiteId, bool]]]]:
-    """BFS over configurations; edges labelled by (site, is_failure)."""
-    initial = _initial_configuration(protocol)
-    index: dict[Configuration, int] = {initial: 0}
-    order: list[Configuration] = [initial]
-    edges: dict[tuple[int, int], list[tuple[SiteId, bool]]] = {}
-    frontier = [initial]
-    sites = sorted(protocol.sites)
-    while frontier:
-        config = frontier.pop()
-        source = index[config]
-        up = config[0]
-        for site in sites:
-            if site in up:
-                successor = _successor(protocol, config, up - {site}, site)
-                is_failure = True
-            else:
-                successor = _successor(protocol, config, up | {site}, None)
-                is_failure = False
-            if successor not in index:
-                if len(index) >= max_states:
-                    raise ChainError(
-                        f"heterogeneous chain for {protocol.name} exceeds "
-                        f"{max_states} states"
-                    )
-                index[successor] = len(order)
-                order.append(successor)
-                frontier.append(successor)
-            edges.setdefault((source, index[successor]), []).append(
-                (site, is_failure)
-            )
-    return order, edges
+def _rated_arcs(
+    states: list[Configuration],
+    arcs: Mapping[tuple[int, int], tuple[int, int]],
+    failure_rates: Mapping[SiteId, float],
+    repair_rates: Mapping[SiteId, float],
+) -> list[tuple[int, int, float]]:
+    """``(source, target, rate)`` per arc of the site-labelled chain.
+
+    Each arc toggles exactly one site, ``up_i ^ up_j``: a failure when
+    that site was up in the source, a repair otherwise.
+    """
+    rated: list[tuple[int, int, float]] = []
+    for (i, j), (failures, _) in arcs.items():
+        (site,) = states[i][0] ^ states[j][0]
+        rate = failure_rates[site] if failures else repair_rates[site]
+        rated.append((i, j, rate))
+    return rated
 
 
 def heterogeneous_steady_state(
@@ -100,17 +86,15 @@ def heterogeneous_steady_state(
     if solver not in ("auto", "dense", "sparse"):
         raise ChainError(f"unknown solver {solver!r}")
     _validate_rates(protocol, failure_rates, repair_rates)
-    order, edges = _explore(protocol, max_states)
+    labels, indexed_arcs, _ = _derive(protocol, None, max_states)
+    order = cast(list[Configuration], labels)
     size = len(order)
+    arcs = _rated_arcs(order, indexed_arcs, failure_rates, repair_rates)
     if solver == "sparse" or (solver == "auto" and size > SPARSE_THRESHOLD):
-        pi = _sparse_solve(edges, size, failure_rates, repair_rates)
+        pi = _sparse_solve(arcs, size)
         return dict(zip(order, pi))
     q = np.zeros((size, size))
-    for (i, j), labels in edges.items():
-        rate = sum(
-            failure_rates[site] if is_failure else repair_rates[site]
-            for site, is_failure in labels
-        )
+    for i, j, rate in arcs:
         q[i, j] += rate
     np.fill_diagonal(q, 0.0)
     np.fill_diagonal(q, -q.sum(axis=1))
@@ -122,12 +106,7 @@ def heterogeneous_steady_state(
     return dict(zip(order, pi))
 
 
-def _sparse_solve(
-    edges: Mapping[tuple[int, int], list[tuple[SiteId, bool]]],
-    size: int,
-    failure_rates: Mapping[SiteId, float],
-    repair_rates: Mapping[SiteId, float],
-) -> np.ndarray:
+def _sparse_solve(arcs: list[tuple[int, int, float]], size: int) -> np.ndarray:
     """Assemble the normalised balance system sparsely and LU-solve it."""
     import scipy.sparse
     import scipy.sparse.linalg
@@ -136,11 +115,7 @@ def _sparse_solve(
     rows: list[int] = []
     cols: list[int] = []
     data: list[float] = []
-    for (i, j), labels in edges.items():
-        rate = sum(
-            failure_rates[site] if is_failure else repair_rates[site]
-            for site, is_failure in labels
-        )
+    for i, j, rate in arcs:
         outflow[i] += rate
         if j != size - 1:
             rows.append(j)
@@ -162,7 +137,11 @@ def _sparse_solve(
     )
     b = np.zeros(size)
     b[-1] = 1.0
-    return scipy.sparse.linalg.spsolve(matrix, b)
+    # Minimum degree on A + A^T: every failure arc has a repair arc back
+    # to a neighbouring configuration, so the pattern is nearly symmetric
+    # and this ordering fills in far less than COLAMD (n=7-8 site-labelled
+    # chains factor 1.5-12x faster, whatever order the states come in).
+    return scipy.sparse.linalg.spsolve(matrix, b, permc_spec="MMD_AT_PLUS_A")
 
 
 def heterogeneous_availability(

@@ -17,12 +17,13 @@ labels.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from collections.abc import Callable, Hashable, Mapping
 
 from ..core.metadata import ReplicaMetadata
 from ..errors import ChainError
-from ..types import SiteId
+from ..types import SiteId, canonical_order, site_names
 from .builder import Configuration
 from .ctmc import Arc, ChainSpec
 
@@ -33,6 +34,7 @@ __all__ = [
     "dynamic_linear_signature",
     "modified_hybrid_signature",
     "voting_signature",
+    "primary_site_signature",
     "class_signature",
     "signature_for",
     "LUMP_SIGNATURES",
@@ -194,6 +196,25 @@ def voting_signature(config: Configuration) -> tuple:
     return ("U", len(up))
 
 
+@functools.lru_cache(maxsize=64)
+def _default_primary(n: int) -> SiteId:
+    return canonical_order(site_names(n))[-1]
+
+
+def primary_site_signature(config: Configuration) -> tuple:
+    """Map a derived primary-site-voting configuration to ``(|up|, primary up)``.
+
+    The 2n states of :func:`~repro.markov.chains.primary_site_voting_chain`.
+    The primary is the protocol's default one -- the greatest of
+    ``site_names(SC)`` in canonical order, SC being the fixed ``n`` a
+    static protocol records -- which is how
+    :func:`repro.markov.availability._chain` builds the protocol.
+    """
+    up, _, _ = config
+    primary = _default_primary(_meta_of(config).cardinality)
+    return ("U", len(up), primary in up)
+
+
 def class_signature(
     classes: Mapping[SiteId, Hashable],
 ) -> Callable[[Configuration], tuple]:
@@ -238,6 +259,7 @@ def class_signature(
 #: the lumped-vs-hand-built tests pin.
 LUMP_SIGNATURES: dict[str, Callable[[Configuration], tuple]] = {
     "voting": voting_signature,
+    "primary-site-voting": primary_site_signature,
     "dynamic": dynamic_signature,
     "dynamic-linear": dynamic_linear_signature,
     "hybrid": hybrid_signature,
@@ -249,5 +271,5 @@ LUMP_SIGNATURES: dict[str, Callable[[Configuration], tuple]] = {
 def signature_for(
     protocol_name: str,
 ) -> Callable[[Configuration], tuple] | None:
-    """The registered lumping signature, or None (callers fall through)."""
+    """The registered lumping signature, or None."""
     return LUMP_SIGNATURES.get(protocol_name)

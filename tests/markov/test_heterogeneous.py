@@ -6,7 +6,11 @@ import pytest
 
 from repro.core import make_protocol
 from repro.errors import ChainError
-from repro.markov import availability, heterogeneous_availability
+from repro.markov import (
+    availability,
+    heterogeneous_availability,
+    heterogeneous_steady_state,
+)
 from repro.sim import (
     AvailabilityAccumulator,
     FailureRepairSampler,
@@ -43,6 +47,26 @@ class TestReductionToHomogeneous:
             protocol, uniform(protocol.sites, 3.0), uniform(protocol.sites, 6.0)
         )
         assert a == pytest.approx(b, abs=1e-12)
+
+
+class TestSolvers:
+    @pytest.mark.parametrize(
+        "name", ["voting", "dynamic-linear", "hybrid", "modified-hybrid"]
+    )
+    def test_sparse_matches_dense(self, name):
+        sites = site_names(5)
+        protocol = make_protocol(name, sites)
+        failures = {site: 1.0 + 0.3 * i for i, site in enumerate(sites)}
+        repairs = {site: 2.5 - 0.2 * i for i, site in enumerate(sites)}
+        dense = heterogeneous_steady_state(
+            protocol, failures, repairs, solver="dense"
+        )
+        sparse = heterogeneous_steady_state(
+            protocol, failures, repairs, solver="sparse"
+        )
+        assert dense.keys() == sparse.keys()
+        for config, p in dense.items():
+            assert sparse[config] == pytest.approx(p, abs=1e-12)
 
 
 class TestAsymmetry:

@@ -5,24 +5,34 @@ representative configuration per block, never expanding the 2^n
 site-labelled space.  Soundness is pinned by equality against the
 two-step reference (``lump_chain(derive_chain(...), signature)``) for
 every registered signature, and the default ``availability`` pipeline
-must be indistinguishable from the hand-built chains it replaced.
+must be indistinguishable from the hand-built chains it replaced -- which
+the runtime must never build.
 """
 
 from fractions import Fraction
 
 import pytest
 
+from repro.analysis import collect_results
+from repro.analysis.sensitivity import (
+    traditional_availability,
+    traditional_availability_grid,
+)
+from repro.cli import main
 from repro.core import make_protocol
-from repro.errors import ChainError
+from repro.errors import AnalysisError, ChainError, ReproError
 from repro.markov import (
     LUMP_SIGNATURES,
     availability,
     chain_for,
+    chains,
     class_signature,
     derive_chain,
     derive_lumped_chain,
     lump_chain,
+    mean_time_to_blocking,
     signature_for,
+    transient_availability,
 )
 from repro.markov.availability import _chain
 from repro.obs.metrics import MetricsRegistry, use
@@ -34,6 +44,26 @@ from repro.reassignment import (
 from repro.types import site_names
 
 from .test_lumping import assert_same_chain
+
+
+#: The dynamic family: chain protocols without a closed form.
+CHAIN_PROTOCOLS = (
+    "dynamic",
+    "dynamic-linear",
+    "hybrid",
+    "modified-hybrid",
+    "optimal-candidate",
+)
+
+#: Availability at ratio 1.0 of the small instances the derivation
+#: handles; every other (protocol, n) below 3 has no chain.
+SMALL_N_VALUES = {
+    ("dynamic", 2): 0.25,
+    ("dynamic-linear", 1): 0.5,
+    ("dynamic-linear", 2): 0.375,
+    ("modified-hybrid", 1): 0.5,
+    ("optimal-candidate", 2): 0.25,
+}
 
 
 @pytest.fixture(autouse=True)
@@ -129,10 +159,25 @@ class TestDefaultPipeline:
         chain = _chain(protocol, 5)
         assert chain.name == f"lumped:{protocol}[n=5]"
 
-    def test_unsignatured_protocol_falls_through(self):
-        chain = _chain("primary-site-voting", 5)
-        assert signature_for("primary-site-voting") is None
-        assert_same_chain(chain, chain_for("primary-site-voting", 5))
+    def test_unsignatured_protocol_raises(self):
+        assert signature_for("primary-copy") is None
+        with pytest.raises(AnalysisError, match="'primary-copy'"):
+            _chain("primary-copy", 5)
+
+    @pytest.mark.parametrize("protocol", CHAIN_PROTOCOLS)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_small_n(self, protocol, n):
+        """Sizes the derivation handles keep their values; the rest raise
+        one AnalysisError naming the protocol and n."""
+        expected = SMALL_N_VALUES.get((protocol, n))
+        if expected is not None:
+            assert availability(protocol, n, 1.0) == pytest.approx(
+                expected, abs=1e-12
+            )
+            return
+        with pytest.raises(AnalysisError, match=f"'{protocol}' at n={n}") as info:
+            availability(protocol, n, 1.0)
+        assert isinstance(info.value.__cause__, ReproError)
 
     def test_large_n_stays_small(self):
         chain = _chain("dynamic", 25)
@@ -148,3 +193,60 @@ class TestDefaultPipeline:
         assert availability("dynamic", 25, 2.0) == pytest.approx(
             float(exact), abs=1e-12
         )
+
+
+def _traditional(chain, ratio):
+    pi = chain.steady_state(ratio)
+    return sum(p for state, p in pi.items() if chain.weight(state) > 0)
+
+
+class TestHandBuiltParity:
+    """Every measure the runtime computes from a chain matches the
+    hand-built chains, which stay only as the oracle."""
+
+    TIMES = (0.0, 0.5, 2.0, 10.0)
+
+    @pytest.mark.parametrize("protocol", sorted(LUMP_SIGNATURES))
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_measures_match_hand_built(self, protocol, n):
+        hand = chain_for(protocol, n)
+        lumped = _chain(protocol, n)
+        ratios = (0.5, 1.0, 4.0)
+        grid = traditional_availability_grid(protocol, n, ratios)
+        for ratio, from_grid in zip(ratios, grid):
+            expected = _traditional(hand, ratio)
+            assert traditional_availability(protocol, n, ratio) == pytest.approx(
+                expected, abs=1e-12
+            ), (protocol, n, ratio)
+            assert from_grid == pytest.approx(expected, abs=1e-12)
+            assert transient_availability(
+                lumped, ratio, self.TIMES
+            ) == pytest.approx(
+                transient_availability(hand, ratio, self.TIMES), abs=1e-12
+            )
+            assert mean_time_to_blocking(lumped, ratio) == pytest.approx(
+                mean_time_to_blocking(hand, ratio), abs=1e-12
+            )
+
+    def test_runtime_never_builds_a_hand_built_chain(self, monkeypatch, capsys):
+        monkeypatch.setattr(chains, "CHAIN_BUILDERS", {})
+        with pytest.raises(ChainError):
+            chain_for("hybrid", 5)
+        assert availability("hybrid", 5, 1.0) > 0
+        assert len(traditional_availability_grid("dynamic", 5, [0.5, 2.0])) == 2
+        results = collect_results(n_values=(3, 4))
+        assert set(results["mean_time_to_blocking"]) == {
+            "voting",
+            "dynamic",
+            "dynamic-linear",
+            "hybrid",
+        }
+        assert main(["transient", "--protocol", "hybrid", "-n", "5"]) == 0
+        assert "mean time to first blocking" in capsys.readouterr().out
+        assert traditional_availability("primary-site-voting", 4, 1.0) > 0
+        assert main(["transient", "--protocol", "primary-site-voting", "-n", "4"]) == 0
+        assert "mean time to first blocking" in capsys.readouterr().out
+
+    def test_transient_without_a_chain_is_a_usage_error(self, capsys):
+        assert main(["transient", "--protocol", "primary-copy", "-n", "3"]) == 2
+        assert "'primary-copy'" in capsys.readouterr().err
