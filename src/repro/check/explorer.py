@@ -23,8 +23,21 @@ violation within the bound:
   pruned but incomparable ones accumulate.
 
 Backtracking restores states by replaying the schedule prefix on a fresh
-harness (see :mod:`~repro.check.harness` for why live state cannot be
-deep-copied).
+harness (see :mod:`~repro.check.harness` for why replay beats copying),
+and the explorer replays only what it does not already know:
+
+* **Transition memo**: each visited state's record maps an action's
+  index in that state's canonical enabled list to the child's record,
+  filled in once the child passed its oracles.  A sibling whose known
+  child is covered by a prior visit is counted as one transition and one
+  cache prune with no replay, apply, snapshot or oracle pass -- exactly
+  what the replayed arrival would have concluded, since a snapshot fixes
+  the future.
+* **Dirty-only replay**: a sibling replays only if an earlier sibling
+  actually applied an action.
+
+Neither changes the walk order or any pruning decision, so every count
+and the first counterexample found are the same as without them.
 """
 
 from __future__ import annotations
@@ -86,7 +99,7 @@ class CheckResult:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class _Visit:
     """One exploration of a state: remaining budget and sleep set."""
 
@@ -96,6 +109,34 @@ class _Visit:
     def covers(self, depth: int, sleep: frozenset[Action]) -> bool:
         """Whether this prior visit already explored at least as much."""
         return depth >= self.depth and sleep >= self.sleep
+
+
+@dataclass(eq=False, slots=True)
+class _State:
+    """Everything the explorer knows about one visited state.
+
+    ``snapshot`` is the interned visited-set key.  ``children`` maps the
+    index of an action in this state's canonical
+    :meth:`~repro.check.harness.CheckHarness.enabled_actions` list to the
+    record of the state it leads to, filled in once that child passed its
+    oracles.  Indices and records (not actions and snapshots) keep the
+    memo from holding duplicate snapshot tuples alive.
+    """
+
+    snapshot: ClusterSnapshot
+    visits: list[_Visit] = field(default_factory=list)
+    children: dict[int, _State] = field(default_factory=dict)
+
+    def covered(self, depth: int, sleep: frozenset[Action]) -> bool:
+        """Whether a prior visit makes a visit at ``(depth, sleep)`` moot."""
+        return any(v.covers(depth, sleep) for v in self.visits)
+
+    def record(self, depth: int, sleep: frozenset[Action]) -> None:
+        """Add a visit, dropping the prior ones it dominates."""
+        self.visits[:] = [
+            v for v in self.visits if not (depth <= v.depth and sleep <= v.sleep)
+        ]
+        self.visits.append(_Visit(depth, sleep))
 
 
 @dataclass
@@ -110,9 +151,9 @@ class Explorer:
     def run(self) -> CheckResult:
         """Explore and return the (deterministic) result."""
         self._harness = CheckHarness(self.config)
-        self._visited: dict[ClusterSnapshot, list[_Visit]] = {}
+        self._visited: dict[ClusterSnapshot, _State] = {}
         self._result = CheckResult(config=self.config, depth=self.depth)
-        self._dfs([], 0, frozenset(), None)
+        self._dfs([], 0, frozenset(), None, 0)
         self._result.states = len(self._visited)
         return self._result
 
@@ -125,32 +166,34 @@ class Explorer:
         schedule: list[Action],
         depth: int,
         sleep: frozenset[Action],
-        previous: ClusterSnapshot | None,
+        parent: _State | None,
+        index: int,
     ) -> bool:
-        """Explore from the harness's current state; True aborts the walk."""
+        """Explore from the harness's current state; True aborts the walk.
+
+        ``parent`` is the state the last action left (None at the root)
+        and ``index`` that action's position in the parent's enabled list.
+        """
         result = self._result
         snapshot = self._harness.snapshot()
+        previous = None if parent is None else parent.snapshot
         violation = check_oracles(self.oracles, self._harness, snapshot, previous)
         if violation is not None:
             result.violation = violation
             result.schedule = tuple(schedule)
             return True
-        visits = self._visited.get(snapshot)
-        if visits is not None:
-            if any(v.covers(depth, sleep) for v in visits):
-                result.cache_pruned += 1
-                return False
-            visits[:] = [
-                v
-                for v in visits
-                if not (depth <= v.depth and sleep <= v.sleep)
-            ]
-            visits.append(_Visit(depth, sleep))
-        else:
-            self._visited[snapshot] = [_Visit(depth, sleep)]
-            if self.max_states is not None and len(self._visited) > self.max_states:
-                result.truncated = True
-                return True
+        state = self._visited.get(snapshot)
+        if state is None:
+            state = self._visited[snapshot] = _State(snapshot)
+        if parent is not None:
+            parent.children[index] = state
+        if state.covered(depth, sleep):
+            result.cache_pruned += 1
+            return False
+        state.record(depth, sleep)
+        if self.max_states is not None and len(self._visited) > self.max_states:
+            result.truncated = True
+            return True
         enabled = self._harness.enabled_actions()
         if not enabled:
             result.quiescent_states += 1
@@ -158,23 +201,32 @@ class Explorer:
         if depth >= self.depth:
             result.frontier_cutoffs += 1
             return False
-        explore = [a for a in enabled if a not in sleep]
+        explore = [(i, a) for i, a in enumerate(enabled) if a not in sleep]
         result.sleep_pruned += len(enabled) - len(explore)
         explored: list[Action] = []
-        for position, action in enumerate(explore):
-            if position > 0:
-                self._harness.replay(schedule)
+        dirty = False
+        for position, action in explore:
             child_sleep = frozenset(
                 {b for b in sleep if independent(action, b)}
                 | {b for b in explored if independent(action, b)}
             )
+            explored.append(action)
+            child = state.children.get(position)
+            if child is not None and child.covered(depth + 1, child_sleep):
+                # The replay, apply, snapshot and oracle pass would only
+                # rediscover that this child is already explored.
+                result.transitions += 1
+                result.cache_pruned += 1
+                continue
+            if dirty:
+                self._harness.replay(schedule)
             if not self._harness.apply(action):  # pragma: no cover - invariant
                 raise CheckError(f"enabled action failed to apply: {action!r}")
+            dirty = True
             result.transitions += 1
             schedule.append(action)
-            stop = self._dfs(schedule, depth + 1, child_sleep, snapshot)
+            stop = self._dfs(schedule, depth + 1, child_sleep, state, position)
             schedule.pop()
             if stop:
                 return True
-            explored.append(action)
         return False

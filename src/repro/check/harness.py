@@ -15,15 +15,17 @@ two injection seams engaged:
   timeout/latency races.  ``start`` timers (delay zero in the simulator)
   execute inline so a submission is one atomic step.
 
-Because queued lock-grant callbacks and timer actions are live closures
-over cluster objects, snapshotting a state for later *restoration* is
-unsafe (``deepcopy`` treats functions as atomic, so closure cells would
-keep pointing at the old cluster).  The harness therefore restores by
-**replay**: rebuilding from the initial configuration and re-applying a
-schedule prefix, which is deterministic because every source of
-nondeterminism (delivery order, timer firing, failures, run identifiers)
-is a function of the schedule.  :meth:`snapshot` produces the canonical
-value encoding used for visited-state deduplication.
+The harness restores a state by **replay**: rebuilding from the initial
+configuration and re-applying a schedule prefix, which is deterministic
+because every source of nondeterminism (delivery order, timer firing,
+failures, run identifiers) is a function of the schedule.  Copying live
+state would also be correct with causal tracing off (armed timers and
+lock waiters are bound methods or ``functools.partial`` objects, which
+copy cleanly), but a ``deepcopy`` or pickle round-trip of a mid-run
+harness costs 2.5-4.5x a complete replay at the depths explored, so
+replay is the only restore path (docs/CHECKING.md has the numbers).
+:meth:`snapshot` produces the canonical value encoding used for
+visited-state deduplication.
 """
 
 from __future__ import annotations
@@ -148,6 +150,8 @@ class CheckHarness:
     def __init__(self, config: CheckConfig, *, causal: bool = False) -> None:
         self.config = config
         self._causal = causal
+        self._sites = config.sites
+        self._workload = config.workload()
         self.reset()
 
     # ------------------------------------------------------------------ #
@@ -164,7 +168,7 @@ class CheckHarness:
         self._recoveries_left = self.config.recoveries
         self._cuts_left = self.config.link_cuts
         self._heals_left = self.config.link_heals
-        protocol = make_protocol(self.config.protocol, self.config.sites)
+        protocol = make_protocol(self.config.protocol, self._sites)
         self.cluster = ReplicaCluster(
             protocol,
             initial_value=self.config.initial_value,
@@ -223,7 +227,7 @@ class CheckHarness:
         """All actions applicable in the current state, in canonical order."""
         topology = self.cluster.topology
         actions: list[Action] = []
-        for index, (site, _value) in enumerate(self.config.workload()):
+        for index, (site, _value) in enumerate(self._workload):
             if index not in self._submitted and topology.is_up(site):
                 actions.append(SubmitOp(index, site))
         deliveries = sorted({p.key for p in self._pending})
@@ -267,7 +271,7 @@ class CheckHarness:
         """Apply one action; False (state unchanged) if it is not enabled."""
         topology = self.cluster.topology
         if isinstance(action, SubmitOp):
-            workload = self.config.workload()
+            workload = self._workload
             if (
                 action.index in self._submitted
                 or action.index >= len(workload)
@@ -422,7 +426,7 @@ class CheckHarness:
             ),
             ops_remaining=tuple(
                 i
-                for i in range(len(self.config.workload()))
+                for i in range(len(self._workload))
                 if i not in self._submitted
             ),
         )

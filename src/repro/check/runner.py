@@ -17,6 +17,7 @@ import sys
 
 from ..core.registry import protocol_names
 from ..errors import ReproError
+from ..obs.clock import Stopwatch
 from .counterexample import minimize, replay_schedule, schedule_to_jsonl
 from .explorer import CheckResult, Explorer
 from .harness import CheckConfig
@@ -246,6 +247,7 @@ def run_from_args(args) -> int:
                 link_heals=args.link_heals,
                 disable_participants_guard=args.inject_fork_bug,
             )
+        stopwatch = Stopwatch()
         try:
             result = Explorer(
                 config=config,
@@ -256,7 +258,12 @@ def run_from_args(args) -> int:
         except ReproError as exc:
             print(f"repro check: {exc}", file=sys.stderr)
             return 2
+        elapsed = stopwatch.seconds
+        # Wall-clock throughput lives in the report entry only, never in
+        # CheckResult.to_dict(), which reruns must reproduce bit for bit.
         report = result.to_dict()
+        report["elapsed_s"] = round(elapsed, 3)
+        report["states_per_s"] = round(result.states / elapsed, 1)
         if result.violation is not None:
             exit_code = 1
             schedule, violation = minimize(config, result.schedule, oracles)

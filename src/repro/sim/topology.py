@@ -60,6 +60,7 @@ class Topology:
         self._link_up: dict[tuple[SiteId, SiteId], bool] = dict.fromkeys(
             self._links, True
         )
+        self._partitions: tuple[Partition, ...] | None = None
 
     # ------------------------------------------------------------------ #
     # State
@@ -98,6 +99,7 @@ class Topology:
         if not self._site_up[site]:
             raise SimulationError(f"site {site!r} is already down")
         self._site_up[site] = False
+        self._partitions = None
 
     def repair_site(self, site: SiteId) -> None:
         """Bring a site back up."""
@@ -105,6 +107,7 @@ class Topology:
         if self._site_up[site]:
             raise SimulationError(f"site {site!r} is already up")
         self._site_up[site] = True
+        self._partitions = None
 
     def fail_link(self, a: SiteId, b: SiteId) -> None:
         """Take a link down."""
@@ -112,6 +115,7 @@ class Topology:
         if not self._link_up[edge]:
             raise SimulationError(f"link {a!r}-{b!r} is already down")
         self._link_up[edge] = False
+        self._partitions = None
 
     def repair_link(self, a: SiteId, b: SiteId) -> None:
         """Bring a link back up."""
@@ -119,6 +123,7 @@ class Topology:
         if self._link_up[edge]:
             raise SimulationError(f"link {a!r}-{b!r} is already up")
         self._link_up[edge] = True
+        self._partitions = None
 
     def set_partitions(self, groups: Iterable[Iterable[SiteId]]) -> None:
         """Force the live graph into the given disjoint groups.
@@ -150,13 +155,23 @@ class Topology:
                 a in membership and b in membership and membership[a] == membership[b]
             )
             self._link_up[edge] = same_group
+        self._partitions = None
 
     # ------------------------------------------------------------------ #
     # Partitions
     # ------------------------------------------------------------------ #
 
     def partitions(self) -> tuple[Partition, ...]:
-        """Connected components of up sites over up links, largest first."""
+        """Connected components of up sites over up links, largest first.
+
+        Computed once per topology change: every mutator above clears the
+        cached tuple.
+        """
+        if self._partitions is None:
+            self._partitions = self._components()
+        return self._partitions
+
+    def _components(self) -> tuple[Partition, ...]:
         up = self.up_sites()
         seen: set[SiteId] = set()
         components: list[frozenset[SiteId]] = []

@@ -1,6 +1,12 @@
 """The bounded explorer: deterministic counts, pruning, truncation."""
 
+import json
+
+import pytest
+
 from repro.check import CheckConfig, Explorer
+from repro.cli import main
+from repro.core.registry import protocol_names
 
 
 def explore(depth=8, **config_kwargs):
@@ -62,3 +68,71 @@ class TestTruncation:
         result = explore(crashes=1, depth=6)
         assert result.violation is None
         assert result.states > 0
+
+
+def counts(result):
+    return (
+        result.states,
+        result.transitions,
+        result.sleep_pruned,
+        result.cache_pruned,
+        result.frontier_cutoffs,
+        result.quiescent_states,
+    )
+
+
+class TestPinnedCountTuples:
+    # (states, transitions, sleep_pruned, cache_pruned, frontier_cutoffs,
+    # quiescent_states), captured before the explorer learned to skip
+    # children it already knows are pruned.  Skipping work must not move
+    # a single tally: the walk order and every pruning decision are the
+    # same, so any drift here means the memo changed what was explored.
+    FAULT_FREE = dict.fromkeys(
+        (
+            "voting",
+            "dynamic",
+            "dynamic-linear",
+            "hybrid",
+            "generalized-hybrid",
+            "modified-hybrid",
+            "optimal-candidate",
+            "primary-site-voting",
+        ),
+        (531, 1187, 558, 384, 480, 0),
+    ) | {"primary-copy": (523, 1185, 556, 392, 472, 0)}
+
+    def test_every_protocol_is_pinned(self):
+        assert sorted(self.FAULT_FREE) == sorted(protocol_names())
+
+    @pytest.mark.parametrize("protocol", sorted(FAULT_FREE))
+    def test_fault_free(self, protocol):
+        result = explore(depth=6, protocol=protocol, updates=2)
+        assert result.ok
+        assert counts(result) == self.FAULT_FREE[protocol]
+
+    def test_crash_and_recovery(self):
+        result = explore(depth=6, crashes=1, recoveries=1)
+        assert result.ok
+        assert counts(result) == (1062, 1895, 496, 565, 863, 0)
+
+    def test_link_cut_and_heal(self):
+        result = explore(depth=7, link_cuts=1, link_heals=1)
+        assert result.ok
+        assert counts(result) == (605, 1686, 238, 974, 369, 0)
+
+    def test_quick_fork_bug_is_found_at_the_same_point(self, capsys):
+        code = main(
+            ["check", "--quick", "--protocol", "dynamic", "--inject-fork-bug", "--json"]
+        )
+        assert code == 1
+        (report,) = json.loads(capsys.readouterr().out)["results"]
+        assert report["violation"]["oracle"] == "participants-only"
+        assert report["schedule_length"] == 10
+        assert (
+            report["states"],
+            report["transitions"],
+            report["sleep_pruned"],
+            report["cache_pruned"],
+            report["frontier_cutoffs"],
+            report["quiescent_states"],
+        ) == (119, 135, 93, 13, 75, 0)

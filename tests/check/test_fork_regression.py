@@ -9,7 +9,21 @@ checker would have caught it: a mutual-exclusion counterexample at n=3
 within the quick preset's depth bound, minimized and replayable.
 """
 
-from repro.check import Deliver, SubmitOp, minimize, replay_schedule, schedule_to_jsonl
+import pytest
+
+from repro.check import (
+    CheckConfig,
+    CheckHarness,
+    CrashSite,
+    Deliver,
+    FireTimer,
+    RecoverSite,
+    SubmitOp,
+    minimize,
+    replay_schedule,
+    run_schedule,
+    schedule_to_jsonl,
+)
 from repro.check.explorer import Explorer
 from repro.check.oracles import default_oracle_names
 from repro.check.runner import QUICK_DEPTH, quick_config
@@ -51,3 +65,47 @@ def test_guard_in_place_is_clean_at_the_same_depth():
         config=config, depth=8, oracles=("participants-only",)
     ).run()
     assert result.violation is None
+
+
+def crash_fork_schedule(distinguished):
+    """Known defect, minimized by ``repro check --protocol dynamic
+    --updates 1 --crashes 1 --recoveries 1 --depth 11``.
+
+    B votes for run 1 and A commits u1 with P={A,B}; B then crashes, and
+    ``Node.on_failure`` wipes its in-doubt record, so after recovery B's
+    Make_Current run forms a {B,C} quorum that never heard of u1 and
+    commits version 1 again.  ``distinguished`` is the DS field the
+    protocol carries in its initial metadata (part of the reply payload).
+    """
+    reply = repr((("metadata", (0, 3, distinguished)),))
+    return (
+        SubmitOp(0, "A"),
+        Deliver("A", "B", "VoteRequest", 1, "()"),
+        Deliver("B", "A", "VoteReply", 1, reply),
+        FireTimer("vote-window", 1, "A"),
+        CrashSite("B"),
+        RecoverSite("B"),
+        Deliver("B", "C", "VoteRequest", 1000, "()"),
+        Deliver("C", "B", "VoteReply", 1000, reply),
+        FireTimer("vote-window", 1000, "B"),
+    )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="Node.on_failure forgets in-doubt prepares: a crashed voter "
+    "re-votes after recovery and version 1 is committed twice",
+)
+@pytest.mark.parametrize(
+    ("protocol", "distinguished"),
+    [("dynamic", ()), ("voting", ()), ("hybrid", ("A", "B", "C"))],
+)
+def test_crashed_voter_remembers_its_prepare(protocol, distinguished):
+    config = CheckConfig(protocol=protocol, updates=1, crashes=1, recoveries=1)
+    violation = run_schedule(
+        CheckHarness(config),
+        crash_fork_schedule(distinguished),
+        default_oracle_names(),
+    )
+    assert violation is None, violation.describe()

@@ -1,6 +1,10 @@
 """Unit tests for the failing topology and partition computation."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import Topology
@@ -113,3 +117,65 @@ class TestSetPartitions:
         topo.set_partitions([{"A", "B", "C"}, {"D", "E"}])
         topo.set_partitions([{"A", "B", "C", "D", "E"}])
         assert topo.partitions() == (frozenset("ABCDE"),)
+
+
+SITES = site_names(5)
+EDGES = list(itertools.combinations(SITES, 2))
+
+mutations = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["fail_site", "repair_site"]), st.sampled_from(SITES)
+        ),
+        st.tuples(
+            st.sampled_from(["fail_link", "repair_link"]), st.sampled_from(EDGES)
+        ),
+        st.tuples(
+            st.just("set_partitions"),
+            st.lists(st.integers(min_value=-1, max_value=2), min_size=5, max_size=5),
+        ),
+    ),
+    max_size=25,
+)
+
+
+def rebuilt(topo, links):
+    """A fresh topology brought into the same up/down state as ``topo``."""
+    fresh = Topology(SITES, links=links)
+    for site in SITES:
+        if not topo.is_up(site):
+            fresh.fail_site(site)
+    for a, b in fresh.links:
+        if not topo.link_is_up(a, b):
+            fresh.fail_link(a, b)
+    return fresh
+
+
+class TestPartitionCache:
+    @given(
+        links=st.one_of(st.none(), st.lists(st.sampled_from(EDGES), unique=True)),
+        ops=mutations,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_cached_partitions_match_a_fresh_topology(self, links, ops):
+        # Reading partitions between mutations fills the cache; every
+        # mutator must clear it, or a later read returns a stale layout.
+        topo = Topology(SITES, links=links)
+        for name, argument in ops:
+            try:
+                if name == "set_partitions":
+                    groups = [
+                        [s for s, g in zip(SITES, argument) if g == index]
+                        for index in range(3)
+                    ]
+                    topo.set_partitions(groups)
+                elif name in ("fail_link", "repair_link"):
+                    getattr(topo, name)(*argument)
+                else:
+                    getattr(topo, name)(argument)
+            except SimulationError:
+                continue  # already in that state, or no such link
+            fresh = rebuilt(topo, links)
+            assert topo.partitions() == fresh.partitions()
+            for site in SITES:
+                assert topo.partition_of(site) == fresh.partition_of(site)
