@@ -1,24 +1,28 @@
 """Perf smoke benchmark: backends, parallel replicates, batched solves.
 
-Measures the speedup paths of docs/PERFORMANCE.md on a small, CI-sized
-workload and -- more importantly -- asserts their correctness contracts:
-the 2-worker Monte-Carlo run is *bitwise identical* to the serial one,
-the batched / Horner grid sweeps agree with the per-point reference to
-1e-12, and the vectorized backend's estimate sits inside the wide-CI
-band of both the analytic value and the scalar oracle.  Process-pool
-speedups are printed (and captured in the ``BENCH_perf`` manifest under
-``REPRO_BENCH_MANIFEST_DIR``) but never asserted: CI machines may expose
-a single core, where the pool legitimately wins nothing.  The vectorized
-backend's throughput *is* asserted (>= 10x events/sec over scalar at
-n = 5): its win is per-core numpy batching, not parallelism, so it does
-not depend on the machine's core count.
+Runs the full-size perf suite of :mod:`repro.perfsuite` -- the very
+scenarios ``repro bench run`` records -- and asserts the correctness
+contracts of docs/PERFORMANCE.md against the results the registry
+returns: the 2-worker Monte-Carlo run is *bitwise identical* to the
+serial one, the batched / Horner grid sweeps agree with the per-point
+reference to 1e-12 / 1e-9, and the vectorized backend's estimate sits
+inside the wide-CI band of both the analytic value and the scalar
+oracle.  Only the comparison sides that are not suite scenarios run
+here: the 2-worker replicates, the per-point solves and the n=7
+dense-vs-lumped race.  Process-pool speedups are printed (and captured
+in the ``perf_smoke`` manifest under ``REPRO_BENCH_MANIFEST_DIR``) but
+never asserted: CI machines may expose a single core, where the pool
+legitimately wins nothing.  The vectorized backend's throughput *is*
+asserted (>= 10x events/sec over scalar at n = 5): its win is per-core
+numpy batching, not parallelism, so it does not depend on the machine's
+core count.
 
-Every run also builds lightweight :class:`repro.bench.BenchRecord`
-entries (scenario ids shared with ``repro bench run --suite perf``) and
-appends them to the JSONL history that ``REPRO_BENCH_HISTORY`` names --
-the time axis the ``repro bench compare`` regression gate and the
-``BENCH_perf.json`` trajectory are built from (docs/BENCHMARKING.md).
-With the variable unset nothing is appended, so a plain run never
+The suite's bench records are appended to the JSONL history that
+``REPRO_BENCH_HISTORY`` names -- the time axis the ``repro bench
+compare`` regression gate and the ``BENCH_perf.json`` trajectory are
+built from (docs/BENCHMARKING.md).  They are the registry's records, so
+their deterministic side matches a ``repro bench run`` at the same
+seed.  With the variable unset nothing is appended, so a plain run never
 rewrites the committed ``benchmarks/manifests/bench_history.jsonl``.
 
 Unlike the figure benchmarks this module does not use the
@@ -36,9 +40,6 @@ from repro.analysis import render_table
 from repro.core import make_protocol
 from repro.markov import (
     availability,
-    availability_grid,
-    availability_symbolic,
-    clear_symbolic_cache,
     derive_chain,
     derive_lumped_chain,
     signature_for,
@@ -47,19 +48,12 @@ from repro.markov.availability import _chain
 from repro.netsim import ReplicaCluster
 from repro.obs import Stopwatch, use
 from repro.obs.causal import NULL_CAUSAL
-from repro.sim import estimate_availability
+from repro.perfsuite import SCENARIOS, ratio_grid, run_suite
 from repro.types import site_names
 
-MC_KWARGS = dict(replicates=6, events=4_000, seed=2026)
-#: Default burn-in of estimate_availability, counted into events/sec.
-MC_BURN_IN = 1_000
-#: The vectorized backend amortises per-step numpy overhead across the
-#: batch, so its showcase workload runs many replicates at once.
-VECTOR_KWARGS = dict(replicates=256, events=2_000, seed=2026)
+SEED = 2026
 #: Floor asserted on vectorized-over-scalar events/sec at n = 5.
 VECTOR_MIN_SPEEDUP = 10.0
-GRID = [0.1 + 19.9 * i / 199 for i in range(200)]
-CHAIN_PROTOCOLS = ("dynamic", "dynamic-linear", "hybrid")
 #: Largest n where the site-labelled dense pipeline is still tractable
 #: (dynamic at n=7 is 2136 states; n=8 would cross the dense
 #: materialization limit).  The lump-then-solve comparison runs here.
@@ -71,11 +65,6 @@ DENSE_RACE_RATIOS = (0.5, 1.0, 2.0, 5.0)
 #: site-labelled pipeline at DENSE_CEILING_N (measured ~400x; the floor
 #: is a deliberately loose contract, not the observed win).
 LUMP_MIN_SPEEDUP = 5.0
-#: The large-n scenarios: lumped state spaces are O(n) blocks, so a
-#: 60-point grid at n=25 solves in milliseconds.
-LARGE_N = 25
-LARGE_GRID = [0.1 + 19.9 * i / 59 for i in range(60)]
-LARGE_PROTOCOLS = ("dynamic", "hybrid", "optimal-candidate")
 #: Ceiling on the *enabled* causal-tracing tax over a trace-only netsim
 #: run.  Full-fidelity DAG emission (one causal event per send, deliver,
 #: timer, vote, commit, install) measures ~2.1-2.6x on this op-dense
@@ -87,8 +76,6 @@ LARGE_PROTOCOLS = ("dynamic", "hybrid", "optimal-candidate")
 #: all (also asserted below), so those paths pay one attribute check at
 #: most.
 CAUSAL_ENABLED_CEILING = 4.0
-#: Rounds of the scripted netsim workload per causal-overhead batch.
-CAUSAL_ROUNDS = 20
 
 
 def _timed(fn):
@@ -98,54 +85,33 @@ def _timed(fn):
 
 
 def test_perf_scaling_smoke(bench_manifest):
+    # The registry runs first, in a process state matching a fresh
+    # `repro bench run`, so the records' deterministic sides agree.
+    measured = run_suite(seed=SEED, quick=False)
+    bench_manifest.append([record for record, _ in measured])
+    records = {record.scenario: record for record, _ in measured}
+    results = {record.scenario: result for record, result in measured}
+    scenarios = {scenario.id: scenario for scenario in SCENARIOS}
     rows = []
 
     # -- Parallel Monte-Carlo: serial vs two workers, bitwise identical.
+    scalar = records["mc.scalar.hybrid.n5"]
+    serial = results[scalar.scenario]
+    serial_s = scalar.timings["wall_s"]
     with use(bench_manifest.registry):
-        serial, serial_s = _timed(
-            lambda: estimate_availability(
-                "hybrid", 5, 1.0, **MC_KWARGS,
-                metrics=bench_manifest.registry, workers=1,
+        parallel, parallel_s = _timed(
+            lambda: scenarios[scalar.scenario].body(
+                {**scalar.params, "workers": 2}, SEED, bench_manifest.registry
             )
         )
-    parallel, parallel_s = _timed(
-        lambda: estimate_availability("hybrid", 5, 1.0, **MC_KWARGS, workers=2)
-    )
     assert parallel == serial, "parallel Monte-Carlo must be bitwise serial"
     rows.append(["montecarlo replicates", serial_s, parallel_s, serial_s / parallel_s])
 
     # -- Vectorized backend: events/sec against the scalar oracle, plus
     #    the statistical-agreement contract of docs/PERFORMANCE.md.
-    with use(bench_manifest.registry):
-        vectorized, vectorized_s = _timed(
-            lambda: estimate_availability(
-                "hybrid", 5, 1.0, **VECTOR_KWARGS,
-                metrics=bench_manifest.registry, backend="vectorized",
-            )
-        )
-    scalar_events = MC_KWARGS["replicates"] * (MC_KWARGS["events"] + MC_BURN_IN)
-    vector_events = VECTOR_KWARGS["replicates"] * (
-        VECTOR_KWARGS["events"] + MC_BURN_IN
-    )
-    scalar_eps = scalar_events / serial_s
-    vector_eps = vector_events / vectorized_s
-    bench_manifest.record(
-        "mc.scalar.hybrid.n5",
-        seed=MC_KWARGS["seed"],
-        params={"protocol": "hybrid", "n_sites": 5, "ratio": 1.0,
-                "backend": "scalar", "workers": 1,
-                "burn_in_events": MC_BURN_IN, **MC_KWARGS},
-        timings={"wall_s": serial_s, "events_per_sec": scalar_eps,
-                 "workers2_wall_s": parallel_s},
-    )
-    bench_manifest.record(
-        "mc.vectorized.hybrid.n5",
-        seed=VECTOR_KWARGS["seed"],
-        params={"protocol": "hybrid", "n_sites": 5, "ratio": 1.0,
-                "backend": "vectorized", "workers": 1,
-                "burn_in_events": MC_BURN_IN, **VECTOR_KWARGS},
-        timings={"wall_s": vectorized_s, "events_per_sec": vector_eps},
-    )
+    vectorized = results["mc.vectorized.hybrid.n5"]
+    scalar_eps = scalar.timings["events_per_sec"]
+    vector_eps = records["mc.vectorized.hybrid.n5"].timings["events_per_sec"]
     throughput = vector_eps / scalar_eps
     analytic = availability("hybrid", 5, 1.0)
     assert vectorized.agrees_with(analytic), "vectorized drifted from analytic"
@@ -167,57 +133,36 @@ def test_perf_scaling_smoke(bench_manifest):
     gauges.gauge("events_per_sec", wall_clock=True).set(vector_eps)
     gauges.gauge("scalar_events_per_sec", wall_clock=True).set(scalar_eps)
 
-    # -- Grid solves: per-point vs one stacked solve vs Horner sweep.
-    clear_symbolic_cache()
-    batched_total_s = 0.0
-    for protocol in CHAIN_PROTOCOLS:
+    # -- Grid solves: per-point reference vs one stacked solve per protocol.
+    batched = records["markov.grid.batched.n5"]
+    grid = ratio_grid(batched.params["grid_points"])
+    per_point_s = {}
+    for protocol, curve in zip(
+        batched.params["protocols"], results[batched.scenario]
+    ):
         chain = _chain(protocol, 5)
-        per_point, per_point_s = _timed(
-            lambda: [chain.availability(ratio) for ratio in GRID]
+        per_point, per_point_s[protocol] = _timed(
+            lambda: [chain.availability(ratio) for ratio in grid]
         )
-        with use(bench_manifest.registry):
-            batched, batched_s = _timed(
-                lambda: availability_grid(protocol, 5, GRID, prefer_symbolic=False)
-            )
         assert max(
-            abs(a - b) for a, b in zip(per_point, batched)
+            abs(a - b) for a, b in zip(per_point, curve)
         ) <= 1e-12, f"batched grid drifted from per-point for {protocol}"
-        batched_total_s += batched_s
-        rows.append(
-            [f"{protocol} grid ({len(GRID)} pts)", per_point_s, batched_s,
-             per_point_s / batched_s]
-        )
-
-    # -- Symbolic Horner fast path (cache populated once, then swept).
-    availability_symbolic("hybrid", 5)
-    with use(bench_manifest.registry):
-        horner, horner_s = _timed(
-            lambda: availability_grid("hybrid", 5, GRID, prefer_symbolic=True)
-        )
-    numeric = availability_grid("hybrid", 5, GRID, prefer_symbolic=False)
-    assert max(abs(a - b) for a, b in zip(horner, numeric)) <= 1e-9
-    per_point_s = next(r[1] for r in rows if r[0].startswith("hybrid"))
+    batched_s = batched.timings["solve_batch_s"]
     rows.append(
-        [f"hybrid horner ({len(GRID)} pts)", per_point_s, horner_s,
-         per_point_s / horner_s]
+        [f"n=5 grids ({len(per_point_s)}x{len(grid)} pts)",
+         sum(per_point_s.values()), batched_s,
+         sum(per_point_s.values()) / batched_s]
     )
-    clear_symbolic_cache()
-    bench_manifest.record(
-        "markov.grid.batched.n5",
-        params={"protocols": list(CHAIN_PROTOCOLS), "n_sites": 5,
-                "grid_points": len(GRID)},
-        timings={
-            "solve_batch_s": batched_total_s,
-            "points_per_sec": len(CHAIN_PROTOCOLS) * len(GRID) / batched_total_s,
-        },
-    )
-    bench_manifest.record(
-        "markov.grid.horner.n5",
-        params={"protocol": "hybrid", "n_sites": 5, "grid_points": len(GRID)},
-        timings={
-            "horner_sweep_s": horner_s,
-            "points_per_sec": len(GRID) / horner_s,
-        },
+
+    # -- Symbolic Horner fast path against the batched hybrid solve.
+    horner = records["markov.grid.horner.n5"]
+    (horner_curve,) = results[horner.scenario]
+    numeric = results[batched.scenario][batched.params["protocols"].index("hybrid")]
+    assert max(abs(a - b) for a, b in zip(horner_curve, numeric)) <= 1e-9
+    horner_s = horner.timings["horner_sweep_s"]
+    rows.append(
+        [f"hybrid horner ({len(grid)} pts)", per_point_s["hybrid"], horner_s,
+         per_point_s["hybrid"] / horner_s]
     )
 
     # -- Lump-then-solve vs the dense site-labelled pipeline, raced at
@@ -258,81 +203,23 @@ def test_perf_scaling_smoke(bench_manifest):
     gauges = bench_manifest.registry.scope("bench.perf.lumped")
     gauges.gauge("pipeline_speedup", wall_clock=True).set(lump_speedup)
 
-    # -- The n=25 scenarios of `repro bench run --suite perf`: a cold
-    #    lumped build+solve sweep, then a warm sparse-forced sweep.
-    _chain.cache_clear()
-    with use(bench_manifest.registry):
-        _, lumped25_s = _timed(
-            lambda: [
-                availability_grid(
-                    name, LARGE_N, LARGE_GRID, prefer_symbolic=False
-                )
-                for name in LARGE_PROTOCOLS
-            ]
-        )
-    with use(bench_manifest.registry):
-        _, sparse25_s = _timed(
-            lambda: [
-                availability_grid(
-                    name, LARGE_N, LARGE_GRID,
-                    prefer_symbolic=False, solver="sparse",
-                )
-                for name in LARGE_PROTOCOLS
-            ]
-        )
-    large_points = len(LARGE_PROTOCOLS) * len(LARGE_GRID)
-    bench_manifest.record(
-        "markov.lumped.n25",
-        params={"protocols": list(LARGE_PROTOCOLS), "n_sites": LARGE_N,
-                "grid_points": len(LARGE_GRID)},
-        timings={
-            "lumped_wall_s": lumped25_s,
-            "points_per_sec": large_points / lumped25_s,
-        },
-    )
-    bench_manifest.record(
-        "markov.sparse.n25",
-        params={"protocols": list(LARGE_PROTOCOLS), "n_sites": LARGE_N,
-                "grid_points": len(LARGE_GRID), "solver": "sparse"},
-        timings={
-            "sparse_wall_s": sparse25_s,
-            "points_per_sec": large_points / sparse25_s,
-        },
-    )
+    # -- The n=25 scenarios: a cold lumped build+solve sweep, then a warm
+    #    sparse-forced sweep.
+    lumped25 = records["markov.lumped.n25"]
+    lumped25_s = lumped25.timings["lumped_wall_s"]
+    sparse25_s = records["markov.sparse.n25"].timings["sparse_wall_s"]
     rows.append(
-        [f"n={LARGE_N} grid cold/warm ({len(LARGE_GRID)} pts)",
+        [f"n=25 grid cold/warm ({lumped25.params['grid_points']} pts)",
          lumped25_s, sparse25_s, lumped25_s / sparse25_s]
     )
 
     # -- Causal tracing: the disabled default must be the null object and
     #    the sim layer causal-free (the "~0% when disabled / no MC seam"
     #    contract); the enabled mode is gated against pathological blowup.
-    def _netsim_rounds(trace: bool, causal: bool) -> float:
-        best = math.inf
-        for _ in range(3):
-            stopwatch = Stopwatch()
-            for _ in range(CAUSAL_ROUNDS):
-                sites = site_names(5)
-                cluster = ReplicaCluster(
-                    make_protocol("hybrid", sites), initial_value="v0",
-                    trace=trace, causal=causal,
-                )
-                cluster.submit_update(sites[0], "v1")
-                cluster.settle()
-                cluster.fail_site(sites[-1])
-                cluster.submit_update(sites[0], "v2")
-                cluster.settle()
-                cluster.repair_site(sites[-1])
-                cluster.settle()
-                cluster.submit_read(sites[1])
-                cluster.settle()
-            best = min(best, stopwatch.seconds)
-        return best
-
-    off_s = _netsim_rounds(False, False)
-    trace_s = _netsim_rounds(True, False)
-    causal_s = _netsim_rounds(True, True)
-    causal_ratio = causal_s / trace_s
+    causal = records["netsim.causal.overhead.n5"]
+    trace_s = causal.timings["netsim_trace_s"]
+    causal_s = causal.timings["netsim_causal_s"]
+    causal_ratio = causal.timings["causal_overhead_ratio"]
     disabled = ReplicaCluster(make_protocol("hybrid", site_names(3)))
     assert disabled.causal is NULL_CAUSAL, (
         "causal=False must share the NULL_CAUSAL null object (per-cluster "
@@ -349,19 +236,8 @@ def test_perf_scaling_smoke(bench_manifest):
         f"netsim (blowup guard: <= {CAUSAL_ENABLED_CEILING:.1f}x)"
     )
     rows.append(
-        [f"netsim causal trace ({CAUSAL_ROUNDS} rounds)", trace_s, causal_s,
-         trace_s / causal_s]
-    )
-    bench_manifest.record(
-        "netsim.causal.overhead.n5",
-        params={"protocol": "hybrid", "n_sites": 5, "rounds": CAUSAL_ROUNDS,
-                "reps": 3},
-        timings={
-            "netsim_off_s": off_s,
-            "netsim_trace_s": trace_s,
-            "netsim_causal_s": causal_s,
-            "causal_overhead_ratio": causal_ratio,
-        },
+        [f"netsim causal trace ({causal.params['rounds']} rounds)",
+         trace_s, causal_s, trace_s / causal_s]
     )
     gauges = bench_manifest.registry.scope("bench.perf.causal")
     gauges.gauge("overhead_ratio", wall_clock=True).set(causal_ratio)
@@ -371,17 +247,11 @@ def test_perf_scaling_smoke(bench_manifest):
         key = label.split(" ")[0].replace("-", "_")
         gauges.gauge(f"{key}.speedup", wall_clock=True).set(speedup)
     bench_manifest.write(
-        "BENCH_perf",
-        protocol={"name": "all", "protocols": ["hybrid", *CHAIN_PROTOCOLS],
+        "perf_smoke",
+        protocol={"name": "all", "protocols": ["hybrid", *batched.params["protocols"]],
                   "n_sites": 5},
-        params={
-            **MC_KWARGS,
-            "grid_points": len(GRID),
-            "workers": 2,
-            "vectorized_replicates": VECTOR_KWARGS["replicates"],
-            "vectorized_events": VECTOR_KWARGS["events"],
-        },
-        seed=MC_KWARGS["seed"],
+        params={"workers": 2, **{r.scenario: dict(r.params) for r in records.values()}},
+        seed=SEED,
     )
 
     print()

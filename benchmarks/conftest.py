@@ -10,6 +10,7 @@ EXPERIMENTS.md.
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from pathlib import Path
 
 import pytest
@@ -71,9 +72,13 @@ class BenchManifest:
             timings=timings,
             manifest=f"bench:{scenario}",
         )
-        if self._history is not None:
-            append_records(self._history, [record])
+        self.append([record])
         return record
+
+    def append(self, records: Sequence[BenchRecord]) -> None:
+        """Append finished bench records to the history, if one is named."""
+        if self._history is not None:
+            append_records(self._history, records)
 
     def write(
         self,

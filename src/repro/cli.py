@@ -36,7 +36,6 @@ from collections.abc import Sequence
 from importlib.metadata import PackageNotFoundError, version as _pkg_version
 
 from .bench import (
-    BenchRecord,
     Tolerance,
     append_records,
     compare_runs,
@@ -76,18 +75,16 @@ from .analysis import (
 from .markov import (
     availability,
     availability_grid,
-    availability_symbolic,
     chain_for,
     mean_time_to_blocking,
     state_tuple,
     transient_availability,
 )
 from .markov.availability import _chain
-from .core import make_protocol
-from .netsim import ReplicaCluster, reset_run_ids
+from . import perfsuite
+from .netsim import reset_run_ids, scripted_workload
 from .obs.trace import TraceLog
 from .sim import estimate_availability, figure1_scenario, paper_protocols
-from .types import site_names
 
 __all__ = ["main", "build_parser"]
 
@@ -309,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="performance trajectory: run suites, compare records, report",
         description=(
             "The perf-regression loop of docs/BENCHMARKING.md: `run` "
-            "measures a suite and appends bench records to the JSONL "
+            "measures the perf suite and appends bench records to the JSONL "
             "history (regenerating the repo-root BENCH_perf.json "
             "trajectory), `compare` gates a current run against a "
             "baseline with noise-aware tolerances, `report` renders the "
@@ -318,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_sub = p.add_subparsers(dest="bench_command", required=True)
 
-    b = bench_sub.add_parser("run", help="run a benchmark suite, record results")
-    b.add_argument("--suite", choices=("perf",), default="perf")
+    b = bench_sub.add_parser("run", help="run the perf suite, record results")
     b.add_argument("--seed", type=int, default=2026)
     b.add_argument(
         "--quick", action="store_true",
@@ -382,47 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
 _COMPARE_PROTOCOLS = ("voting", "dynamic", "dynamic-linear", "hybrid")
 
 
-def _scripted_workload(
-    protocol: str,
-    n_sites: int,
-    *,
-    trace: bool = False,
-    causal: bool = False,
-    seed: int = 0,
-) -> ReplicaCluster:
-    """Run the fixed ``repro trace`` workload; returns the settled cluster.
-
-    Deterministic by construction (the message network is driven by
-    simulated time only): update; fail the highest-named site; update
-    under failure; repair and restart; read.  The tracing knobs are
-    passed through so the same workload serves the rendered trace, the
-    causal-trace modes, and the causal-overhead bench scenario.
-    """
-    sites = site_names(n_sites)
-    cluster = ReplicaCluster(
-        make_protocol(protocol, sites),
-        initial_value="v0",
-        trace=trace,
-        causal=causal,
-        causal_seed=seed,
-    )
-    cluster.submit_update(sites[0], "v1")
-    cluster.settle()
-    cluster.fail_site(sites[-1])
-    cluster.submit_update(sites[0], "v2")
-    cluster.settle()
-    cluster.repair_site(sites[-1])
-    cluster.settle()
-    cluster.submit_read(sites[min(1, n_sites - 1)])
-    cluster.settle()
-    return cluster
-
-
 def _scripted_trace(
     protocol: str, n_sites: int, *, causal: bool = False, seed: int = 0
 ) -> TraceLog:
     """The trace log of one scripted workload (``trace=True`` always)."""
-    cluster = _scripted_workload(
+    cluster = scripted_workload(
         protocol, n_sites, trace=True, causal=causal, seed=seed
     )
     log = cluster.trace_log
@@ -551,257 +511,6 @@ def _run_profile(args: argparse.Namespace) -> int:
     return code
 
 
-def _perf_scenario(
-    suite: str,
-    scenario: str,
-    *,
-    seed: int | None,
-    params: dict,
-    run,
-    timings_from,
-) -> BenchRecord:
-    """Measure one suite scenario under a fresh registry and profiler.
-
-    ``run(registry)`` executes the workload; ``timings_from(result,
-    seconds)`` maps its return value and wall time to the timing table.
-    The scenario's hot-path wall attributions ride along as soft
-    ``profile.<name>_s`` timings, linking the profile to the record.
-    """
-    registry = MetricsRegistry()
-    profiler = SpanProfiler()
-    stopwatch = Stopwatch()
-    with use(registry), profiling(profiler):
-        result = run(registry)
-    seconds = max(stopwatch.seconds, 1e-9)
-    timings = dict(timings_from(result, seconds))
-    for name, entry in profiler.wall_table().items():
-        timings[f"profile.{name}_s"] = entry["seconds"]
-    return BenchRecord.collect(
-        suite,
-        scenario,
-        seed=seed,
-        params=params,
-        registry=registry,
-        timings=timings,
-        manifest=f"bench:{scenario}",
-    )
-
-
-def _perf_suite_records(seed: int, quick: bool) -> list[BenchRecord]:
-    """The ``perf`` suite: the fast paths ROADMAP protects, measured.
-
-    The scenarios -- scalar Monte-Carlo, the vectorized backend, the
-    batched Markov grid, the Horner symbolic sweep, the n=25
-    lump-then-solve pipeline (cold build and sparse solve), and the
-    netsim causal overhead -- mirror ``benchmarks/bench_perf_scaling.py``
-    and docs/PERFORMANCE.md.  ``quick`` shrinks the
-    workloads to test size without changing the scenario ids, so quick
-    and full runs still compare (their params differ, which disables the
-    determinism-drift check across the two modes).
-    """
-    from .markov import clear_symbolic_cache
-
-    records = []
-    replicates, events, burn = (4, 400, 100) if quick else (6, 4_000, 1_000)
-    mc_params = {
-        "protocol": "hybrid",
-        "n_sites": 5,
-        "ratio": 1.0,
-        "replicates": replicates,
-        "events": events,
-        "burn_in_events": burn,
-        "workers": 1,
-    }
-    records.append(
-        _perf_scenario(
-            "perf",
-            "mc.scalar.hybrid.n5",
-            seed=seed,
-            params={**mc_params, "backend": "scalar"},
-            run=lambda registry: estimate_availability(
-                "hybrid", 5, 1.0,
-                replicates=replicates, events=events, burn_in_events=burn,
-                seed=seed, metrics=registry, workers=1, backend="scalar",
-            ),
-            timings_from=lambda result, seconds: {
-                "wall_s": seconds,
-                "events_per_sec": replicates * (events + burn) / seconds,
-            },
-        )
-    )
-    v_replicates, v_events, v_burn = (
-        (32, 250, 100) if quick else (256, 2_000, 1_000)
-    )
-    records.append(
-        _perf_scenario(
-            "perf",
-            "mc.vectorized.hybrid.n5",
-            seed=seed,
-            params={
-                **mc_params,
-                "backend": "vectorized",
-                "replicates": v_replicates,
-                "events": v_events,
-                "burn_in_events": v_burn,
-            },
-            run=lambda registry: estimate_availability(
-                "hybrid", 5, 1.0,
-                replicates=v_replicates, events=v_events,
-                burn_in_events=v_burn, seed=seed, metrics=registry,
-                workers=1, backend="vectorized",
-            ),
-            timings_from=lambda result, seconds: {
-                "wall_s": seconds,
-                "events_per_sec": v_replicates * (v_events + v_burn) / seconds,
-            },
-        )
-    )
-    grid_points = 50 if quick else 200
-    grid = [0.1 + 19.9 * i / (grid_points - 1) for i in range(grid_points)]
-    grid_protocols = ("dynamic", "dynamic-linear", "hybrid")
-    clear_symbolic_cache()
-    records.append(
-        _perf_scenario(
-            "perf",
-            "markov.grid.batched.n5",
-            seed=None,
-            params={
-                "protocols": list(grid_protocols),
-                "n_sites": 5,
-                "grid_points": grid_points,
-            },
-            run=lambda registry: [
-                availability_grid(name, 5, grid, prefer_symbolic=False)
-                for name in grid_protocols
-            ],
-            timings_from=lambda result, seconds: {
-                "solve_batch_s": seconds,
-                "points_per_sec": len(grid_protocols) * grid_points / seconds,
-            },
-        )
-    )
-    availability_symbolic("hybrid", 5)  # populate the cache outside the timer
-    records.append(
-        _perf_scenario(
-            "perf",
-            "markov.grid.horner.n5",
-            seed=None,
-            params={"protocol": "hybrid", "n_sites": 5, "grid_points": grid_points},
-            run=lambda registry: availability_grid(
-                "hybrid", 5, grid, prefer_symbolic=True
-            ),
-            timings_from=lambda result, seconds: {
-                "horner_sweep_s": seconds,
-                "points_per_sec": grid_points / seconds,
-            },
-        )
-    )
-    clear_symbolic_cache()
-    large_points = 10 if quick else 60
-    large_grid = [
-        0.1 + 19.9 * i / (large_points - 1) for i in range(large_points)
-    ]
-    large_protocols = ("dynamic", "hybrid", "optimal-candidate")
-
-    def _lumped_n25(registry: MetricsRegistry) -> list[list[float]]:
-        _chain.cache_clear()  # measure the streaming lumped build too
-        return [
-            availability_grid(name, 25, large_grid, prefer_symbolic=False)
-            for name in large_protocols
-        ]
-
-    records.append(
-        _perf_scenario(
-            "perf",
-            "markov.lumped.n25",
-            seed=None,
-            params={
-                "protocols": list(large_protocols),
-                "n_sites": 25,
-                "grid_points": large_points,
-            },
-            run=_lumped_n25,
-            timings_from=lambda result, seconds: {
-                "lumped_wall_s": seconds,
-                "points_per_sec": (
-                    len(large_protocols) * large_points / seconds
-                ),
-            },
-        )
-    )
-    for name in large_protocols:  # prebuild so only the solve is timed
-        availability(name, 25, 1.0)
-    records.append(
-        _perf_scenario(
-            "perf",
-            "markov.sparse.n25",
-            seed=None,
-            params={
-                "protocols": list(large_protocols),
-                "n_sites": 25,
-                "grid_points": large_points,
-                "solver": "sparse",
-            },
-            run=lambda registry: [
-                availability_grid(
-                    name, 25, large_grid,
-                    prefer_symbolic=False, solver="sparse",
-                )
-                for name in large_protocols
-            ],
-            timings_from=lambda result, seconds: {
-                "sparse_wall_s": seconds,
-                "points_per_sec": (
-                    len(large_protocols) * large_points / seconds
-                ),
-            },
-        )
-    )
-    rounds, reps = (6, 2) if quick else (30, 3)
-
-    def _causal_overhead(registry: MetricsRegistry) -> dict[str, float]:
-        """Min-of-reps wall time of the scripted netsim workload per mode."""
-
-        def batch(trace: bool, causal: bool) -> float:
-            best = float("inf")
-            for _ in range(reps):
-                stopwatch = Stopwatch()
-                for _ in range(rounds):
-                    _scripted_workload(
-                        "hybrid", 5, trace=trace, causal=causal, seed=seed
-                    )
-                best = min(best, stopwatch.seconds)
-            return best
-
-        return {
-            "off": batch(False, False),
-            "trace": batch(True, False),
-            "causal": batch(True, True),
-        }
-
-    records.append(
-        _perf_scenario(
-            "perf",
-            "netsim.causal.overhead.n5",
-            seed=seed,
-            params={
-                "protocol": "hybrid",
-                "n_sites": 5,
-                "rounds": rounds,
-                "reps": reps,
-            },
-            run=_causal_overhead,
-            timings_from=lambda result, seconds: {
-                "netsim_off_s": result["off"],
-                "netsim_trace_s": result["trace"],
-                "netsim_causal_s": result["causal"],
-                "causal_overhead_ratio": result["causal"] / result["trace"],
-            },
-        )
-    )
-    return records
-
-
 def _cmd_grid(args: argparse.Namespace) -> int:
     """``repro grid``: one protocol's availability curve, any solver.
 
@@ -871,8 +580,10 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
 
 def _bench_run(args: argparse.Namespace) -> int:
-    """``repro bench run``: measure a suite, append history, regenerate."""
-    records = _perf_suite_records(args.seed, args.quick)
+    """``repro bench run``: measure the perf suite, append history, regenerate."""
+    records = [
+        record for record, _ in perfsuite.run_suite(seed=args.seed, quick=args.quick)
+    ]
     for record in records:
         timings = " ".join(
             f"{name}={value:.6g}"
@@ -888,11 +599,11 @@ def _bench_run(args: argparse.Namespace) -> int:
         print(f"appended {len(records)} record(s) to {history_path}", file=sys.stderr)
         if args.trajectory != "-":
             trajectory = write_trajectory(
-                args.trajectory, load_history(history_path), suite=args.suite
+                args.trajectory, load_history(history_path), suite=perfsuite.SUITE
             )
             print(f"regenerated trajectory {trajectory}", file=sys.stderr)
     elif args.trajectory != "-":
-        trajectory = write_trajectory(args.trajectory, records, suite=args.suite)
+        trajectory = write_trajectory(args.trajectory, records, suite=perfsuite.SUITE)
         print(f"regenerated trajectory {trajectory}", file=sys.stderr)
     return 0
 

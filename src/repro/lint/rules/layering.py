@@ -18,8 +18,8 @@ from ..findings import Finding, Severity
 from ..registry import PACKAGE_NAME, FileContext, FileRule, register
 
 #: Allowed intra-package dependencies, by first-level directory/module.
-#: Top-level orchestration modules (cli, __init__, __main__) are absent,
-#: meaning unrestricted.
+#: Top-level orchestration modules (cli, perfsuite, __init__, __main__)
+#: are absent, meaning unrestricted.
 ALLOWED_IMPORTS: dict[str, frozenset[str]] = {
     "errors": frozenset(),
     "types": frozenset({"errors"}),

@@ -1,6 +1,7 @@
 """Message-level simulation of the full Section V protocol.
 
-* :class:`ReplicaCluster` -- nodes + network + failures + auditing.
+* :class:`ReplicaCluster` -- nodes + network + failures + auditing;
+  :func:`scripted_workload` runs the fixed ``repro trace`` script on one.
 * :class:`ProtocolRun` / :class:`RunKind` / :class:`RunStatus` -- one
   three-phase execution (vote, catch-up, commit) and its lifecycle.
 * :class:`Node` -- persistent copy, volatile locks, subordinate role,
@@ -8,7 +9,7 @@
 * :class:`LockManager`, :class:`MessageNetwork`, and the message types.
 """
 
-from .cluster import ReplicaCluster
+from .cluster import ReplicaCluster, scripted_workload
 from .coordinator import ProtocolRun, RunKind, RunStatus
 from .lockmgr import LockManager
 from .messages import (
@@ -53,4 +54,5 @@ __all__ = [
     "DecisionReply",
     "next_run_id",
     "reset_run_ids",
+    "scripted_workload",
 ]

@@ -18,6 +18,7 @@ from collections.abc import Callable, Iterable
 from typing import Any
 
 from ..core.base import ReplicaControlProtocol
+from ..core.registry import make_protocol
 from ..errors import SimulationError
 from ..obs.causal import (
     NULL_CAUSAL,
@@ -30,13 +31,13 @@ from ..obs.spans import NULL_TRACKER, SpanTracker
 from ..obs.trace import TraceLog
 from ..sim.engine import EventHandle, Simulator
 from ..sim.topology import Topology
-from ..types import SiteId
+from ..types import SiteId, site_names
 from .coordinator import ProtocolRun, RunKind, RunStatus
 from .messages import Message
 from .network import MessageNetwork
 from .node import Node
 
-__all__ = ["ReplicaCluster"]
+__all__ = ["ReplicaCluster", "scripted_workload"]
 
 
 class ReplicaCluster:
@@ -462,3 +463,39 @@ class ReplicaCluster:
             "sites": len(self._nodes),
             "runs_finished": len(self._finished_runs),
         }
+
+
+def scripted_workload(
+    protocol: str,
+    n_sites: int,
+    *,
+    trace: bool = False,
+    causal: bool = False,
+    seed: int = 0,
+) -> ReplicaCluster:
+    """Run the fixed ``repro trace`` workload; returns the settled cluster.
+
+    Deterministic by construction (the message network is driven by
+    simulated time only): update; fail the highest-named site; update
+    under failure; repair and restart; read.  The tracing knobs are
+    passed through so the same workload serves the rendered trace, the
+    causal-trace modes, and the causal-overhead perf scenario.
+    """
+    sites = site_names(n_sites)
+    cluster = ReplicaCluster(
+        make_protocol(protocol, sites),
+        initial_value="v0",
+        trace=trace,
+        causal=causal,
+        causal_seed=seed,
+    )
+    cluster.submit_update(sites[0], "v1")
+    cluster.settle()
+    cluster.fail_site(sites[-1])
+    cluster.submit_update(sites[0], "v2")
+    cluster.settle()
+    cluster.repair_site(sites[-1])
+    cluster.settle()
+    cluster.submit_read(sites[min(1, n_sites - 1)])
+    cluster.settle()
+    return cluster

@@ -380,7 +380,7 @@ class TestBenchCommands:
         history = tmp_path / "history.jsonl"
         trajectory = tmp_path / "BENCH_perf.json"
         code = main(
-            ["bench", "run", "--suite", "perf", "--quick", "--seed", seed,
+            ["bench", "run", "--quick", "--seed", seed,
              "--record", str(record), "--history", str(history),
              "--trajectory", str(trajectory)]
         )
@@ -419,20 +419,20 @@ class TestBenchCommands:
     def test_bench_compare_detects_injected_2x_slowdown(
         self, tmp_path, capsys, monkeypatch
     ):
-        import repro.cli as cli_module
+        import repro.perfsuite as perfsuite
 
         record, _, _ = self._run(tmp_path)
         capsys.readouterr()
 
         # Inject a 2x slowdown into the Monte-Carlo hot path: same
         # deterministic result, double the wall time.
-        original = cli_module.estimate_availability
+        original = perfsuite.estimate_availability
 
         def twice_as_slow(*args, **kwargs):
             original(*args, **kwargs)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli_module, "estimate_availability", twice_as_slow)
+        monkeypatch.setattr(perfsuite, "estimate_availability", twice_as_slow)
         slow = tmp_path / "slow.json"
         assert main(
             ["bench", "run", "--quick", "--record", str(slow),
