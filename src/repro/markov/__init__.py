@@ -57,7 +57,6 @@ from .lumping import (
     signature_for,
     voting_signature,
 )
-from .sparse import sparse_steady_state, sparse_steady_state_grid
 from .transient import (
     expected_blocked_fraction,
     mean_time_to_blocking,
@@ -88,8 +87,6 @@ __all__ = [
     "verify_stale_partitions_blocked",
     "Configuration",
     "SPARSE_THRESHOLD",
-    "sparse_steady_state",
-    "sparse_steady_state_grid",
     "availability",
     "heterogeneous_availability",
     "transient_availability",

@@ -6,11 +6,20 @@ of sites whose failure/repair triggers the move).  :class:`ChainSpec`
 captures exactly that structure, which buys three solution modes from one
 description:
 
-* **numeric** -- float steady state via numpy (fast; used for curves);
+* **numeric** -- float steady states (fast; used for curves);
 * **exact**   -- ``Fraction`` steady state at a rational ratio ``r=mu/lambda``
   (the paper's "computed exactly using rational arithmetic");
 * **symbolic** -- steady state as :class:`RationalFunction` of *r* via
   fraction-free elimination (the paper's Maple ``solve``).
+
+Every float steady state in :mod:`repro.markov` -- one point or a whole
+ratio grid, lumped or site-labelled (:mod:`repro.markov.heterogeneous`)
+-- is one call of :func:`_solve_balance` on the normalised balance system
+``Q^T pi = 0`` with its last row replaced by ``sum(pi) = 1``.  One routing
+rule (:func:`_route`) picks the backend: the stacked dense LAPACK solve
+for small systems, a SuperLU factorisation per point for large ones.
+The exact and symbolic modes assemble the same rows over their own
+number types.
 
 The *availability* of a chain is ``sum_s w(s) * pi(s)`` for per-state
 weights *w* -- ``k/n`` for the available states with *k* sites up, zero
@@ -19,11 +28,14 @@ otherwise (the paper's site measure).
 
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable, Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from collections.abc import Hashable, Iterable, Mapping
+from typing import TypeVar
 
 import numpy as np
+import scipy.sparse
+import scipy.sparse.linalg
 
 from ..errors import ChainError
 from ..obs.metrics import global_registry
@@ -35,8 +47,8 @@ __all__ = ["Arc", "ChainSpec", "SPARSE_THRESHOLD"]
 State = Hashable
 
 #: States above which ``solver="auto"`` routes steady-state solves to the
-#: scipy.sparse backend in :mod:`repro.markov.sparse` instead of dense
-#: LAPACK (docs/PERFORMANCE.md, "Large-n solvers").
+#: sparse LU backend instead of dense LAPACK (docs/PERFORMANCE.md,
+#: "Large-n solvers").
 SPARSE_THRESHOLD = 128
 
 #: Dense-work budget for batched grids, in float64 cells of the stacked
@@ -49,6 +61,126 @@ _DENSE_GRID_BUDGET = 8_000_000
 _DENSE_MATERIALIZE_LIMIT = 4_096
 
 _SOLVERS = ("auto", "dense", "sparse")
+
+#: Entry type of the exact (``Fraction``) and symbolic (``Polynomial``)
+#: balance systems.
+_Exact = TypeVar("_Exact", Fraction, Polynomial)
+
+
+def _route(
+    solver: str, size: int, points: int, name: str, *, report_oversize: bool = True
+) -> str:
+    """The backend (``"dense"`` or ``"sparse"``) for ``points`` solves.
+
+    ``auto`` goes sparse above :data:`SPARSE_THRESHOLD` states, or when
+    the stacked dense tensor would exceed the :data:`_DENSE_GRID_BUDGET`
+    work budget.  Forcing ``dense`` above the threshold is honoured but
+    counted on the ``markov.solve.dense_oversize`` warning counter (when
+    ``report_oversize``); past :data:`_DENSE_MATERIALIZE_LIMIT` states it
+    raises before anything is allocated.
+    """
+    if solver not in _SOLVERS:
+        raise ChainError(f"unknown solver {solver!r}; expected one of {_SOLVERS}")
+    if solver == "auto":
+        if size > SPARSE_THRESHOLD or points * size * size > _DENSE_GRID_BUDGET:
+            return "sparse"
+        return "dense"
+    if solver == "dense" and size > SPARSE_THRESHOLD:
+        if size > _DENSE_MATERIALIZE_LIMIT:
+            raise ChainError(
+                f"chain {name!r} has {size} states; dense solves are capped at "
+                f"{_DENSE_MATERIALIZE_LIMIT} -- use solver='sparse'"
+            )
+        registry = global_registry()
+        if report_oversize and registry.enabled:
+            registry.counter("markov.solve.dense_oversize").inc()
+    return solver
+
+
+def _count_solve(mode: str, size: int, grid_size: int | None = None) -> None:
+    """Report one steady-state solve to the global metrics registry.
+
+    ``grid_size`` is the number of ratios solved in one call; it feeds
+    the ``markov.solve.grid_size`` histogram, which lets manifests tell
+    one 20-point batch from 20 per-point solves.
+    """
+    registry = global_registry()
+    if not registry.enabled:
+        return
+    registry.counter(f"markov.solve.{mode}").inc()
+    if grid_size is not None:
+        registry.histogram("markov.solve.grid_size").observe(grid_size)
+    registry.histogram("markov.solve.dimension").observe(size)
+
+
+def _dense_generators(
+    rows: np.ndarray, cols: np.ndarray, rates: np.ndarray, size: int
+) -> np.ndarray:
+    """Stacked ``(K, size, size)`` generators (rows sum to zero).
+
+    Generator *k* carries ``rates[k, e]`` on arc ``rows[e] -> cols[e]``.
+    """
+    q = np.zeros((rates.shape[0], size, size))
+    q[:, rows, cols] = rates
+    diagonal = np.arange(size)
+    q[:, diagonal, diagonal] = -q.sum(axis=2)
+    return q
+
+
+def _solve_balance(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    rates: np.ndarray,
+    size: int,
+    solver: str,
+    *,
+    one_point: bool = False,
+) -> np.ndarray:
+    """Stationary distributions of K generators sharing one arc pattern.
+
+    ``rates`` is ``(K, E)``: row *k* holds the rate of every arc
+    ``rows[e] -> cols[e]`` at point *k*.  Returns ``(K, size)``, row *k*
+    solving ``Q_k^T pi = 0`` with the last equation replaced by
+    ``sum(pi) = 1``.  ``solver`` is a backend chosen by :func:`_route`:
+
+    * ``"dense"`` -- all K systems in one stacked ``np.linalg.solve``;
+    * ``"sparse"`` -- one CSC assembly and SuperLU factorisation per
+      point, ordered by minimum degree on ``A + A^T``: every failure arc
+      has a repair arc back to a neighbouring configuration, so the
+      pattern is nearly symmetric and this ordering fills in less than
+      the default COLAMD (up to ~12x faster on site-labelled chains,
+      never slower on lumped ones).
+
+    Counts the solve as ``markov.solve.sparse``, or for the dense
+    backend ``markov.solve.numeric`` (a ``one_point`` entry) or
+    ``markov.solve.batched``, and times it on the hot path of that name.
+    """
+    points = rates.shape[0]
+    mode = "sparse" if solver == "sparse" else "numeric" if one_point else "batched"
+    _count_solve(mode, size, None if mode == "numeric" else points)
+    if solver == "dense":
+        a = _dense_generators(rows, cols, rates, size).transpose(0, 2, 1).copy()
+        a[:, -1, :] = 1.0
+        b = np.zeros((points, size))
+        b[:, -1] = 1.0
+        with hotpath(f"markov.solve.{mode}"):
+            return np.linalg.solve(a, b[:, :, None])[:, :, 0]
+    keep = cols != size - 1
+    diagonal = np.arange(size - 1)
+    pattern = (
+        np.concatenate([cols[keep], diagonal, np.full(size, size - 1)]),
+        np.concatenate([rows[keep], diagonal, np.arange(size)]),
+    )
+    b = np.zeros(size)
+    b[-1] = 1.0
+    out = np.empty((points, size))
+    with hotpath("markov.solve.sparse"):
+        for k, arc_rates in enumerate(rates):
+            outflow = np.bincount(rows, weights=arc_rates, minlength=size)
+            data = np.concatenate([arc_rates[keep], -outflow[:-1], np.ones(size)])
+            matrix = scipy.sparse.csc_matrix((data, pattern), shape=(size, size))
+            out[k] = scipy.sparse.linalg.spsolve(matrix, b, permc_spec="MMD_AT_PLUS_A")
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,26 +216,18 @@ class ChainSpec:
         arcs: Iterable[Arc],
         weights: Mapping[State, Fraction],
     ) -> None:
-        self.name = name
-        self._states = tuple(states)
-        if len(set(self._states)) != len(self._states):
-            raise ChainError(f"duplicate states in chain {name!r}")
-        if not self._states:
-            raise ChainError(f"chain {name!r} has no states")
-        index = {state: i for i, state in enumerate(self._states)}
-        merged: dict[tuple[int, int], list[int]] = {}
+        ordered = tuple(states)
+        index = {state: i for i, state in enumerate(ordered)}
+        merged: dict[tuple[int, int], tuple[int, int]] = {}
         for arc in arcs:
             if arc.source not in index or arc.target not in index:
                 raise ChainError(
                     f"arc {arc.source!r} -> {arc.target!r} references unknown states"
                 )
             key = (index[arc.source], index[arc.target])
-            entry = merged.setdefault(key, [0, 0])
-            entry[0] += arc.failures
-            entry[1] += arc.repairs
-        self._finish_init(
-            index, {key: (f, r) for key, (f, r) in merged.items()}, weights
-        )
+            failures, repairs = merged.get(key, (0, 0))
+            merged[key] = (failures + arc.failures, repairs + arc.repairs)
+        self._init(name, ordered, merged, weights)
 
     @classmethod
     def from_indexed_arcs(
@@ -123,40 +247,39 @@ class ChainSpec:
         per-transition arc list (docs/PERFORMANCE.md).
         """
         self = cls.__new__(cls)
+        self._init(name, tuple(states), indexed_arcs, weights)
+        return self
+
+    def _init(
+        self,
+        name: str,
+        states: tuple[State, ...],
+        indexed_arcs: Mapping[tuple[int, int], tuple[int, int]],
+        weights: Mapping[State, Fraction],
+    ) -> None:
+        """Validate and store; both constructors end here."""
         self.name = name
-        self._states = tuple(states)
-        if len(set(self._states)) != len(self._states):
+        self._states = states
+        if len(set(states)) != len(states):
             raise ChainError(f"duplicate states in chain {name!r}")
-        if not self._states:
+        if not states:
             raise ChainError(f"chain {name!r} has no states")
-        size = len(self._states)
-        merged: dict[tuple[int, int], tuple[int, int]] = {}
+        size = len(states)
+        arcs: dict[tuple[int, int], tuple[int, int]] = {}
         for (i, j), (f, r) in indexed_arcs.items():
             if not (0 <= i < size and 0 <= j < size):
                 raise ChainError(
                     f"arc index ({i}, {j}) out of range for chain {name!r}"
                 )
             if i == j:
-                raise ChainError(f"self-loop at {self._states[i]!r}")
+                raise ChainError(f"self-loop at {states[i]!r}")
             if f < 0 or r < 0:
                 raise ChainError(f"negative rate multiplicity on arc ({i}, {j})")
             if f == 0 and r == 0:
-                raise ChainError(
-                    f"zero-rate arc {self._states[i]!r} -> {self._states[j]!r}"
-                )
-            merged[(i, j)] = (int(f), int(r))
-        index = {state: i for i, state in enumerate(self._states)}
-        self._finish_init(index, merged, weights)
-        return self
-
-    def _finish_init(
-        self,
-        index: dict[State, int],
-        arcs: dict[tuple[int, int], tuple[int, int]],
-        weights: Mapping[State, Fraction],
-    ) -> None:
+                raise ChainError(f"zero-rate arc {states[i]!r} -> {states[j]!r}")
+            arcs[(i, j)] = (int(f), int(r))
         self._arcs = arcs
-        self._index = index
+        self._index = {state: i for i, state in enumerate(states)}
         self._weights = {
             state: Fraction(weights.get(state, 0)) for state in self._states
         }
@@ -167,7 +290,6 @@ class ChainSpec:
         self._out_adjacency: tuple[tuple[tuple[State, int, int], ...], ...] | None = (
             None
         )
-        self._sparse_pattern: tuple[np.ndarray, ...] | None = None
         self._dense_oversize_reported = False
         self._check_connected()
 
@@ -253,127 +375,12 @@ class ChainSpec:
     # Numeric solution
     # ------------------------------------------------------------------ #
 
-    def _resolve_solver(self, solver: str, grid_size: int = 1) -> str:
-        """Pick the concrete backend for a requested ``solver`` knob.
-
-        ``auto`` goes sparse above :data:`SPARSE_THRESHOLD` states, or
-        when the stacked dense grid tensor would exceed the
-        :data:`_DENSE_GRID_BUDGET` work budget.  Forcing ``dense`` above
-        the threshold is honoured but reported once per chain via the
-        ``markov.solve.dense_oversize`` warning counter.
-        """
-        if solver not in _SOLVERS:
-            raise ChainError(
-                f"unknown solver {solver!r}; expected one of {_SOLVERS}"
-            )
-        if solver == "auto":
-            if self.size > SPARSE_THRESHOLD:
-                return "sparse"
-            if grid_size * self.size * self.size > _DENSE_GRID_BUDGET:
-                return "sparse"
-            return "dense"
-        if solver == "dense" and self.size > SPARSE_THRESHOLD:
-            if self.size > _DENSE_MATERIALIZE_LIMIT:
-                raise ChainError(
-                    f"chain {self.name!r} has {self.size} states; dense "
-                    "solves are capped at "
-                    f"{_DENSE_MATERIALIZE_LIMIT} -- use solver='sparse'"
-                )
-            self._report_dense_oversize()
-        return solver
-
-    def _report_dense_oversize(self) -> None:
-        """One-time warning metric: a forced dense solve above threshold."""
-        if self._dense_oversize_reported:
-            return
-        self._dense_oversize_reported = True
-        registry = global_registry()
-        if registry.enabled:
-            registry.counter("markov.solve.dense_oversize").inc()
-
-    def generator_matrix(self, lam: float, mu: float) -> np.ndarray:
-        """The generator Q (rows sum to zero) at concrete rates."""
-        size = len(self._states)
-        if size > _DENSE_MATERIALIZE_LIMIT:
-            raise ChainError(
-                f"chain {self.name!r} has {size} states; a dense generator "
-                f"would allocate {size}x{size} floats.  Route through the "
-                "sparse backend instead (solver='sparse')."
-            )
-        q = np.zeros((size, size))
-        for (i, j), (f, r) in self._arcs.items():
-            q[i, j] = f * lam + r * mu
-        np.fill_diagonal(q, 0.0)
-        np.fill_diagonal(q, -q.sum(axis=1))
-        return q
-
-    def _observe_solve(self, mode: str, grid_size: int | None = None) -> None:
-        """Report a steady-state solve to the global metrics registry.
-
-        Chain sizes are recorded as gauges at solve time (not at build
-        time) so the series do not depend on whether a chain came out of
-        an ``lru_cache`` -- solves happen every call, builds do not, and
-        manifest determinism relies on that.  Batched solves pass
-        ``grid_size`` (the number of ratios solved in one LAPACK call);
-        the ``markov.solve.batched`` counter plus the
-        ``markov.solve.grid_size`` histogram let manifests distinguish
-        one 20-point batch from 20 per-point solves.
-        """
-        registry = global_registry()
-        if not registry.enabled:
-            return
-        registry.counter(f"markov.solve.{mode}").inc()
-        if grid_size is not None:
-            registry.histogram("markov.solve.grid_size").observe(grid_size)
-        registry.histogram("markov.solve.dimension").observe(self.size)
-        scope = registry.scope(f"markov.chain.{self.name}")
-        scope.gauge("states").set(self.size)
-        scope.gauge("arcs").set(len(self._arcs))
-
-    def steady_state(
-        self, ratio: float, lam: float = 1.0, *, solver: str = "auto"
-    ) -> dict[State, float]:
-        """Stationary distribution at ``mu = ratio * lam`` (floats).
-
-        ``solver`` is ``"dense"`` (LAPACK on the materialised generator),
-        ``"sparse"`` (CSR + scipy.sparse.linalg, see
-        :mod:`repro.markov.sparse`) or ``"auto"`` (dense below
-        :data:`SPARSE_THRESHOLD` states, sparse above -- both solve the
-        identical normalised balance system).
-        """
-        if ratio <= 0:
-            raise ChainError(f"repair/failure ratio must be positive: {ratio}")
-        if self._resolve_solver(solver) == "sparse":
-            from .sparse import sparse_steady_state
-
-            return dict(zip(self._states, sparse_steady_state(self, ratio, lam)))
-        self._observe_solve("numeric")
-        q = self.generator_matrix(lam, ratio * lam)
-        size = q.shape[0]
-        a = q.T.copy()
-        a[-1, :] = 1.0
-        b = np.zeros(size)
-        b[-1] = 1.0
-        pi = np.linalg.solve(a, b)
-        return dict(zip(self._states, pi))
-
-    def availability(self, ratio: float, *, solver: str = "auto") -> float:
-        """Site availability ``sum w(s) pi(s)`` at a float ratio."""
-        pi = self.steady_state(ratio, solver=solver)
-        return float(
-            sum(float(self._weights[s]) * p for s, p in pi.items())
-        )
-
-    # ------------------------------------------------------------------ #
-    # Batched numeric solution over a ratio grid
-    # ------------------------------------------------------------------ #
-
     def _arc_index_arrays(self) -> tuple[np.ndarray, ...]:
         """Vectorized arc index: (rows, cols, failures, repairs, weights).
 
         Built once per chain and cached; the arrays are what lets a whole
-        ratio grid's generator tensor be assembled without re-walking the
-        arc dictionary per point (docs/PERFORMANCE.md).
+        ratio grid's generators be assembled without re-walking the arc
+        dictionary per point (docs/PERFORMANCE.md).
         """
         if self._arc_vectors is None:
             keys = sorted(self._arcs)
@@ -387,6 +394,93 @@ class ChainSpec:
             self._arc_vectors = (rows, cols, fails, reps, weights)
         return self._arc_vectors
 
+    def _observe_chain(self) -> None:
+        """Record this chain's size gauges on the global metrics registry.
+
+        Chain sizes are recorded at solve time (not at build time) so the
+        series do not depend on whether a chain came out of an
+        ``lru_cache`` -- solves happen every call, builds do not, and
+        manifest determinism relies on that.
+        """
+        registry = global_registry()
+        if registry.enabled:
+            scope = registry.scope(f"markov.chain.{self.name}")
+            scope.gauge("states").set(self.size)
+            scope.gauge("arcs").set(len(self._arcs))
+
+    def generator_matrix(self, lam: float, mu: float) -> np.ndarray:
+        """The generator Q (rows sum to zero) at concrete rates."""
+        size = len(self._states)
+        if size > _DENSE_MATERIALIZE_LIMIT:
+            raise ChainError(
+                f"chain {self.name!r} has {size} states; a dense generator "
+                f"would allocate {size}x{size} floats.  Route through the "
+                "sparse backend instead (solver='sparse')."
+            )
+        rows, cols, fails, reps, _ = self._arc_index_arrays()
+        rates = (fails * lam + reps * mu)[None, :]
+        return _dense_generators(rows, cols, rates, size)[0]
+
+    def _steady_states(
+        self,
+        ratios: "np.typing.ArrayLike",
+        lam: float,
+        solver: str,
+        *,
+        one_point: bool = False,
+    ) -> np.ndarray:
+        """``(K, size)`` stationary distributions at ``mu = ratios[k] * lam``.
+
+        The one float entry point: validates the grid, routes it
+        (:func:`_route`) and solves it (:func:`_solve_balance`).
+        ``one_point`` marks the per-point API, counted as
+        ``markov.solve.numeric`` rather than ``markov.solve.batched``.
+        """
+        grid = np.asarray(ratios, dtype=np.float64)
+        if grid.ndim != 1:
+            raise ChainError(f"ratio grid must be one-dimensional: {grid.shape}")
+        if grid.size == 0:
+            raise ChainError("ratio grid is empty")
+        if np.any(grid <= 0):
+            raise ChainError(f"repair/failure ratios must be positive: {grid.min()}")
+        backend = _route(
+            solver,
+            self.size,
+            int(grid.size),
+            self.name,
+            report_oversize=not self._dense_oversize_reported,
+        )
+        if solver == "dense":
+            # The chain's size never changes, so one oversize report (or
+            # none, below the threshold) covers every later forced solve.
+            self._dense_oversize_reported = True
+        rows, cols, fails, reps, _ = self._arc_index_arrays()
+        # rates[k, a] = failures_a * lambda + repairs_a * mu_k
+        rates = fails * lam + np.outer(grid * lam, reps)
+        pi = _solve_balance(rows, cols, rates, self.size, backend, one_point=one_point)
+        self._observe_chain()
+        return pi
+
+    def steady_state(
+        self, ratio: float, lam: float = 1.0, *, solver: str = "auto"
+    ) -> dict[State, float]:
+        """Stationary distribution at ``mu = ratio * lam`` (floats).
+
+        The one-point case of :meth:`steady_state_grid`.  ``solver`` is
+        ``"dense"`` (LAPACK on the materialised generator), ``"sparse"``
+        (sparse LU) or ``"auto"`` (dense below :data:`SPARSE_THRESHOLD`
+        states, sparse above -- both solve the identical normalised
+        balance system).
+        """
+        pi = self._steady_states([ratio], lam, solver, one_point=True)[0]
+        return dict(zip(self._states, pi))
+
+    def availability(self, ratio: float, *, solver: str = "auto") -> float:
+        """Site availability ``sum w(s) pi(s)`` at a float ratio."""
+        _, _, _, _, weights = self._arc_index_arrays()
+        pi = self._steady_states([ratio], 1.0, solver, one_point=True)[0]
+        return float(pi @ weights)
+
     def steady_state_grid(
         self,
         ratios: "np.typing.ArrayLike",
@@ -396,41 +490,15 @@ class ChainSpec:
     ) -> np.ndarray:
         """Stationary distributions at every ratio, one batched solve.
 
-        Assembles the stacked ``(K, n, n)`` generator tensor from the
-        precomputed arc index and solves all K balance systems in a
-        single ``np.linalg.solve`` call.  Returns a ``(K, n)`` array whose
-        row *k* is the stationary distribution at ``mu = ratios[k] * lam``
-        (state order = :attr:`states`).  Each slice is the same linear
-        system :meth:`steady_state` solves point-by-point, so the results
-        agree to machine precision; the paper's Section VI curves only
-        need the solves, not the Python loop around them.
+        Returns a ``(K, n)`` array whose row *k* is the stationary
+        distribution at ``mu = ratios[k] * lam`` (state order =
+        :attr:`states`).  Below the sparse threshold all K balance
+        systems go to a single stacked ``np.linalg.solve`` call; each
+        slice is the same linear system :meth:`steady_state` solves, so
+        the results agree to machine precision.  The paper's Section VI
+        curves only need the solves, not the Python loop around them.
         """
-        grid = np.asarray(ratios, dtype=np.float64)
-        if grid.ndim != 1:
-            raise ChainError(f"ratio grid must be one-dimensional: {grid.shape}")
-        if grid.size == 0:
-            raise ChainError("ratio grid is empty")
-        if np.any(grid <= 0):
-            raise ChainError("repair/failure ratios must all be positive")
-        if self._resolve_solver(solver, grid_size=int(grid.size)) == "sparse":
-            from .sparse import sparse_steady_state_grid
-
-            return sparse_steady_state_grid(self, grid, lam)
-        self._observe_solve("batched", grid_size=int(grid.size))
-        rows, cols, fails, reps, _ = self._arc_index_arrays()
-        size = self.size
-        # rates[k, a] = failures_a * lambda + repairs_a * mu_k
-        rates = fails * lam + np.outer(grid * lam, reps)
-        q = np.zeros((grid.size, size, size))
-        q[:, rows, cols] = rates
-        diagonal = np.arange(size)
-        q[:, diagonal, diagonal] = -q.sum(axis=2)
-        a = q.transpose(0, 2, 1).copy()
-        a[:, -1, :] = 1.0
-        b = np.zeros((grid.size, size))
-        b[:, -1] = 1.0
-        with hotpath("markov.solve.batched"):
-            return np.linalg.solve(a, b[:, :, None])[:, :, 0]
+        return self._steady_states(ratios, lam, solver)
 
     def availability_grid(
         self, ratios: "np.typing.ArrayLike", *, solver: str = "auto"
@@ -446,27 +514,41 @@ class ChainSpec:
         return self.steady_state_grid(ratios, solver=solver) @ weights
 
     # ------------------------------------------------------------------ #
-    # Exact solution at a rational ratio
+    # Exact and symbolic solution
     # ------------------------------------------------------------------ #
+
+    def _balance_system(
+        self, rate: Callable[[int, int], _Exact], zero: _Exact, one: _Exact
+    ) -> tuple[list[list[_Exact]], list[_Exact]]:
+        """The normalised balance system ``(A, b)`` over an exact ring.
+
+        ``rate(failures, repairs)`` builds one arc's rate; ``A`` is the
+        transposed generator (column balance equations) with its last row
+        replaced by ones, ``b`` the matching unit vector -- the system
+        :func:`_solve_balance` solves in floats.
+        """
+        size = len(self._states)
+        a = [[zero] * size for _ in range(size)]
+        for (i, j), (f, r) in self._arcs.items():
+            value = rate(f, r)
+            a[j][i] = a[j][i] + value
+            a[i][i] = a[i][i] - value
+        a[size - 1] = [one] * size
+        b = [zero] * size
+        b[-1] = one
+        return a, b
 
     def steady_state_exact(self, ratio: Fraction) -> dict[State, Fraction]:
         """Stationary distribution at a rational ratio, exactly."""
         ratio = Fraction(ratio)
         if ratio <= 0:
             raise ChainError(f"repair/failure ratio must be positive: {ratio}")
-        self._observe_solve("exact")
-        size = len(self._states)
-        a = [[Fraction(0)] * size for _ in range(size)]
-        for (i, j), (f, r) in self._arcs.items():
-            rate = Fraction(f) + Fraction(r) * ratio
-            a[j][i] += rate       # transposed: column balance equations
-            a[i][i] -= rate
-        for j in range(size):
-            a[size - 1][j] = Fraction(1)
-        b = [Fraction(0)] * size
-        b[-1] = Fraction(1)
-        pi = fraction_solve(a, b)
-        return dict(zip(self._states, pi))
+        _count_solve("exact", self.size)
+        self._observe_chain()
+        a, b = self._balance_system(
+            lambda f, r: Fraction(f) + Fraction(r) * ratio, Fraction(0), Fraction(1)
+        )
+        return dict(zip(self._states, fraction_solve(a, b)))
 
     def availability_exact(self, ratio: Fraction) -> Fraction:
         """Site availability at a rational ratio, exactly."""
@@ -475,10 +557,6 @@ class ChainSpec:
             (self._weights[s] * p for s, p in pi.items()), start=Fraction(0)
         )
 
-    # ------------------------------------------------------------------ #
-    # Symbolic solution
-    # ------------------------------------------------------------------ #
-
     def steady_state_symbolic(self) -> dict[State, RationalFunction]:
         """Stationary distribution as rational functions of r = mu/lambda.
 
@@ -486,21 +564,12 @@ class ChainSpec:
         (availability depends on the rates only through their ratio) and
         solved by fraction-free elimination.
         """
-        self._observe_solve("symbolic")
-        size = len(self._states)
-        zero = Polynomial()
-        a = [[zero] * size for _ in range(size)]
-        for (i, j), (f, r) in self._arcs.items():
-            rate = Polynomial.linear(f, r)
-            a[j][i] = a[j][i] + rate
-            a[i][i] = a[i][i] - rate
-        ones = Polynomial.constant(1)
-        for j in range(size):
-            a[size - 1][j] = ones
-        b = [zero] * size
-        b[-1] = ones
-        pi = bareiss_solve(a, b)
-        return dict(zip(self._states, pi))
+        _count_solve("symbolic", self.size)
+        self._observe_chain()
+        a, b = self._balance_system(
+            Polynomial.linear, Polynomial(), Polynomial.constant(1)
+        )
+        return dict(zip(self._states, bareiss_solve(a, b)))
 
     def availability_symbolic(self) -> RationalFunction:
         """Site availability as an exact rational function of r."""

@@ -14,6 +14,13 @@ The availability measure generalises unchanged: an update arriving at a
 uniformly random site succeeds iff that site is up inside a distinguished
 partition, so the weight of an available state is ``k/n`` with *k* its up
 count.
+
+Per-site rates are not ``a*lambda + b*mu``, so these chains are not
+:class:`repro.markov.ChainSpec` objects; their rates go to the same
+float solve as every other steady state
+(:func:`repro.markov.ctmc._solve_balance`, as a one-point grid) through
+the same routing and guards: sparse above the threshold, and forced
+dense solves counted past it and refused past the materialise limit.
 """
 
 from __future__ import annotations
@@ -25,10 +32,9 @@ import numpy as np
 
 from ..core.base import ReplicaControlProtocol
 from ..errors import ChainError
-from ..obs.metrics import global_registry
 from ..types import SiteId
 from .builder import Configuration, _derive
-from .ctmc import SPARSE_THRESHOLD
+from .ctmc import _route, _solve_balance
 
 __all__ = ["heterogeneous_availability", "heterogeneous_steady_state"]
 
@@ -54,18 +60,18 @@ def _rated_arcs(
     arcs: Mapping[tuple[int, int], tuple[int, int]],
     failure_rates: Mapping[SiteId, float],
     repair_rates: Mapping[SiteId, float],
-) -> list[tuple[int, int, float]]:
-    """``(source, target, rate)`` per arc of the site-labelled chain.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, cols, rates)`` arrays over the arcs of the site-labelled chain.
 
     Each arc toggles exactly one site, ``up_i ^ up_j``: a failure when
     that site was up in the source, a repair otherwise.
     """
-    rated: list[tuple[int, int, float]] = []
-    for (i, j), (failures, _) in arcs.items():
+    rates = np.empty(len(arcs))
+    for e, ((i, j), (failures, _)) in enumerate(arcs.items()):
         (site,) = states[i][0] ^ states[j][0]
-        rate = failure_rates[site] if failures else repair_rates[site]
-        rated.append((i, j, rate))
-    return rated
+        rates[e] = failure_rates[site] if failures else repair_rates[site]
+    index = np.array(list(arcs), dtype=np.intp).reshape(-1, 2)
+    return index[:, 0], index[:, 1], rates
 
 
 def heterogeneous_steady_state(
@@ -78,70 +84,21 @@ def heterogeneous_steady_state(
 ) -> dict[Configuration, float]:
     """Exact (site-labelled) stationary distribution under per-site rates.
 
-    Site-labelled state spaces grow exponentially, so ``auto`` routes
-    chains above :data:`repro.markov.ctmc.SPARSE_THRESHOLD` states
-    through a scipy.sparse assembly + LU instead of materialising the
-    dense generator (same normalised balance system either way).
+    Site-labelled state spaces grow exponentially; the solve goes through
+    the same routing and guards as every :class:`ChainSpec` solve
+    (``auto`` goes sparse above
+    :data:`repro.markov.ctmc.SPARSE_THRESHOLD` states, forced ``dense``
+    is capped and counted), with the per-site rates as a one-point grid.
     """
-    if solver not in ("auto", "dense", "sparse"):
-        raise ChainError(f"unknown solver {solver!r}")
     _validate_rates(protocol, failure_rates, repair_rates)
     labels, indexed_arcs, _ = _derive(protocol, None, max_states)
     order = cast(list[Configuration], labels)
     size = len(order)
-    arcs = _rated_arcs(order, indexed_arcs, failure_rates, repair_rates)
-    if solver == "sparse" or (solver == "auto" and size > SPARSE_THRESHOLD):
-        pi = _sparse_solve(arcs, size)
-        return dict(zip(order, pi))
-    q = np.zeros((size, size))
-    for i, j, rate in arcs:
-        q[i, j] += rate
-    np.fill_diagonal(q, 0.0)
-    np.fill_diagonal(q, -q.sum(axis=1))
-    a = q.T.copy()
-    a[-1, :] = 1.0
-    b = np.zeros(size)
-    b[-1] = 1.0
-    pi = np.linalg.solve(a, b)
-    return dict(zip(order, pi))
-
-
-def _sparse_solve(arcs: list[tuple[int, int, float]], size: int) -> np.ndarray:
-    """Assemble the normalised balance system sparsely and LU-solve it."""
-    import scipy.sparse
-    import scipy.sparse.linalg
-
-    outflow = np.zeros(size)
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    for i, j, rate in arcs:
-        outflow[i] += rate
-        if j != size - 1:
-            rows.append(j)
-            cols.append(i)
-            data.append(rate)
-    for i in range(size - 1):
-        rows.append(i)
-        cols.append(i)
-        data.append(-outflow[i])
-    rows.extend([size - 1] * size)
-    cols.extend(range(size))
-    data.extend([1.0] * size)
-    registry = global_registry()
-    if registry.enabled:
-        registry.counter("markov.solve.sparse").inc()
-        registry.histogram("markov.solve.dimension").observe(size)
-    matrix = scipy.sparse.csc_matrix(
-        (np.asarray(data), (rows, cols)), shape=(size, size)
-    )
-    b = np.zeros(size)
-    b[-1] = 1.0
-    # Minimum degree on A + A^T: every failure arc has a repair arc back
-    # to a neighbouring configuration, so the pattern is nearly symmetric
-    # and this ordering fills in far less than COLAMD (n=7-8 site-labelled
-    # chains factor 1.5-12x faster, whatever order the states come in).
-    return scipy.sparse.linalg.spsolve(matrix, b, permc_spec="MMD_AT_PLUS_A")
+    name = f"heterogeneous:{protocol.name}[n={protocol.n_sites}]"
+    backend = _route(solver, size, 1, name)
+    rows, cols, rates = _rated_arcs(order, indexed_arcs, failure_rates, repair_rates)
+    pi = _solve_balance(rows, cols, rates[None, :], size, backend, one_point=True)
+    return dict(zip(order, pi[0]))
 
 
 def heterogeneous_availability(

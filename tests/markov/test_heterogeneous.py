@@ -7,10 +7,12 @@ import pytest
 from repro.core import make_protocol
 from repro.errors import ChainError
 from repro.markov import (
+    SPARSE_THRESHOLD,
     availability,
     heterogeneous_availability,
     heterogeneous_steady_state,
 )
+from repro.obs.metrics import MetricsRegistry, use
 from repro.sim import (
     AvailabilityAccumulator,
     FailureRepairSampler,
@@ -26,16 +28,30 @@ def uniform(sites, value):
 
 
 class TestReductionToHomogeneous:
-    @pytest.mark.parametrize("name", ["voting", "dynamic", "dynamic-linear", "hybrid"])
-    def test_uniform_rates_match_the_chains(self, name):
-        protocol = make_protocol(name, site_names(4))
+    # n=4 site-labelled chains (49-113 states) solve dense under "auto",
+    # n=5 ones (176-526 states) sparse.
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "voting",
+            "primary-site-voting",
+            "dynamic",
+            "dynamic-linear",
+            "hybrid",
+            "modified-hybrid",
+            "optimal-candidate",
+        ],
+    )
+    def test_uniform_rates_match_the_chains(self, name, n):
+        protocol = make_protocol(name, site_names(n))
         for ratio in (0.5, 2.0):
             value = heterogeneous_availability(
                 protocol,
                 uniform(protocol.sites, 1.0),
                 uniform(protocol.sites, ratio),
             )
-            assert value == pytest.approx(availability(name, 4, ratio), abs=1e-10)
+            assert value == pytest.approx(availability(name, n, ratio), abs=1e-10)
 
     def test_scale_invariance(self):
         # Only the ratio matters: doubling both rates changes nothing.
@@ -67,6 +83,35 @@ class TestSolvers:
         assert dense.keys() == sparse.keys()
         for config, p in dense.items():
             assert sparse[config] == pytest.approx(p, abs=1e-12)
+
+    def test_forced_dense_past_threshold_is_counted(self):
+        protocol = make_protocol("voting", site_names(5))  # 176 states
+        sites = protocol.sites
+        registry = MetricsRegistry()
+        with use(registry):
+            pi = heterogeneous_steady_state(
+                protocol, uniform(sites, 1.0), uniform(sites, 2.0), solver="dense"
+            )
+        assert len(pi) > SPARSE_THRESHOLD
+        snapshot = registry.snapshot()
+        assert snapshot["markov.solve.dense_oversize"]["value"] == 1
+        assert snapshot["markov.solve.numeric"]["value"] == 1
+
+    def test_forced_dense_past_materialize_limit_raises(self, monkeypatch):
+        # hybrid at n=7 has 6,924 site-labelled states: the dense system
+        # would be two 383 MB matrices, so the guard must fire before the
+        # rates are even assembled.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("assembled a system past the dense cap")
+
+        monkeypatch.setattr("repro.markov.heterogeneous._rated_arcs", unreachable)
+        monkeypatch.setattr("repro.markov.heterogeneous._solve_balance", unreachable)
+        protocol = make_protocol("hybrid", site_names(7))
+        sites = protocol.sites
+        with pytest.raises(ChainError, match="6924 states; dense"):
+            heterogeneous_steady_state(
+                protocol, uniform(sites, 1.0), uniform(sites, 2.0), solver="dense"
+            )
 
 
 class TestAsymmetry:

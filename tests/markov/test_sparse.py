@@ -12,13 +12,8 @@ from fractions import Fraction
 import pytest
 
 from repro.errors import ChainError
-from repro.markov import (
-    CHAIN_BUILDERS,
-    SPARSE_THRESHOLD,
-    chain_for,
-    sparse_steady_state,
-    sparse_steady_state_grid,
-)
+from repro.markov import CHAIN_BUILDERS, SPARSE_THRESHOLD, chain_for
+from repro.markov.availability import _chain
 from repro.markov.ctmc import _DENSE_MATERIALIZE_LIMIT, ChainSpec
 from repro.obs.metrics import MetricsRegistry, use
 
@@ -59,11 +54,18 @@ class TestSparseDenseParity:
         sparse = chain.steady_state_grid(GRID, solver="sparse")
         assert abs(dense - sparse).max() <= PARITY_ATOL
 
-    def test_gmres_matches_direct(self):
-        chain = chain_for("hybrid", 7)
-        direct = sparse_steady_state_grid(chain, GRID, method="direct")
-        gmres = sparse_steady_state_grid(chain, GRID, method="gmres")
-        assert abs(direct - gmres).max() <= 1e-9
+    @pytest.mark.parametrize(
+        "protocol",
+        ["dynamic", "dynamic-linear", "hybrid", "modified-hybrid", "optimal-candidate"],
+    )
+    def test_lumped_n50_matches_dense(self, protocol):
+        # The runtime chains at n=50 (123-198 blocks): all but
+        # optimal-candidate (123) sit past the threshold, where "auto"
+        # takes the sparse route.
+        chain = _chain(protocol, 50)
+        dense = chain.steady_state_grid(GRID, solver="dense")
+        sparse = chain.steady_state_grid(GRID, solver="sparse")
+        assert abs(dense - sparse).max() <= PARITY_ATOL
 
     def test_availability_solver_knob(self):
         chain = chain_for("dynamic", 5)
@@ -73,7 +75,7 @@ class TestSparseDenseParity:
 
     def test_rows_are_distributions(self):
         chain = birth_death_chain(300)
-        grid = sparse_steady_state_grid(chain, GRID)
+        grid = chain.steady_state_grid(GRID, solver="sparse")
         assert grid.shape == (len(GRID), 300)
         assert abs(grid.sum(axis=1) - 1.0).max() <= 1e-9
         assert grid.min() >= -1e-12
@@ -112,11 +114,6 @@ class TestAutoRouting:
         chain = chain_for("voting", 3)
         with pytest.raises(ChainError, match="unknown solver"):
             chain.steady_state(1.0, solver="cholesky")
-
-    def test_unknown_sparse_method_rejected(self):
-        chain = chain_for("voting", 3)
-        with pytest.raises(ChainError, match="unknown sparse method"):
-            sparse_steady_state(chain, 1.0, method="jacobi")
 
 
 class TestDenseGuards:
